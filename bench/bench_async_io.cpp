@@ -1,9 +1,9 @@
 // Ablation E15: schedule-aware asynchronous checkpoint IO.
 //
 // Runs the same two-level (RAM + disk) checkpointed training pass through
-// the synchronous DiskSlotStore and the write-behind/prefetching
-// AsyncDiskSlotStore, under an injected per-spill-op disk latency that
-// stands in for a Waggle node's SD card:
+// AsyncDiskSlotStore twice -- synchronous (both staging budgets 0) and
+// write-behind/prefetching -- under an injected per-spill-op disk latency
+// that stands in for a Waggle node's SD card:
 //
 //   EDGETRAIN_DISK_LATENCY_US=<us per spill write/read>   (CI sets this)
 //
@@ -96,11 +96,17 @@ int main() {
   const double compute_s =
       std::chrono::duration<double>(Clock::now() - start).count();
 
+  // Synchronous mode: put() waits for its write, every get() reads.
+  core::AsyncDiskSlotStoreOptions sync_options;
+  sync_options.write_staging_slots = 0;
+  sync_options.read_staging_slots = 0;
+
   // Count spill ops per pass with a zero-latency sync pass, then pick the
   // injected latency: env knob when set, otherwise total IO ~= compute.
   long spill_ops = 0;
   {
-    core::DiskSlotStore probe(schedule.num_slots(), first_disk_slot, dir);
+    core::AsyncDiskSlotStore probe(schedule.num_slots(), first_disk_slot, dir,
+                                   sync_options);
     const std::vector<Tensor> grads = run_with(probe);
     if (max_err(grads, reference) != 0.0F) {
       std::printf("FAIL: sync disk gradients differ from RAM reference\n");
@@ -135,7 +141,8 @@ int main() {
 
   float sync_err = 0.0F;
   float async_err = 0.0F;
-  core::DiskSlotStore sync_store(schedule.num_slots(), first_disk_slot, dir);
+  core::AsyncDiskSlotStore sync_store(schedule.num_slots(), first_disk_slot,
+                                      dir, sync_options);
   const double sync_s = timed(sync_store, &sync_err);
   // Two staging slots per direction: one buffer absorbs the jitter the
   // other is paying for, so the sweep never stalls in put() and the

@@ -8,7 +8,7 @@
 #include <random>
 #include <thread>
 
-#include "core/slot_store.hpp"
+#include "core/async_slot_store.hpp"
 #include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -187,8 +187,13 @@ struct IoFit {
 void measure_disk(const CalibrationOptions& options, IoFit* write_fit,
                   IoFit* read_fit) {
   std::filesystem::create_directories(options.scratch_dir);
-  core::DiskSlotStore store(/*num_slots=*/1, /*first_disk_slot=*/0,
-                            options.scratch_dir);
+  // Synchronous mode: every put() waits for its write and every get() is
+  // a blocking read, so each timed call covers one full spill-file op.
+  core::AsyncDiskSlotStoreOptions sync;
+  sync.write_staging_slots = 0;
+  sync.read_staging_slots = 0;
+  core::AsyncDiskSlotStore store(/*num_slots=*/1, /*first_disk_slot=*/0,
+                                 options.scratch_dir, sync);
   std::mt19937 rng(13);
 
   const auto probe = [&](std::int64_t elems, double* put_secs,

@@ -36,9 +36,9 @@ AsyncDiskSlotStore::AsyncDiskSlotStore(int num_slots, int first_disk_slot,
       ram_(static_cast<std::size_t>(num_slots)),
       disk_(static_cast<std::size_t>(num_slots)),
       slot_ratios_(static_cast<std::size_t>(num_slots), 1.0) {
-  if (options_.write_staging_slots < 1) {
+  if (options_.write_staging_slots < 0) {
     throw std::invalid_argument(
-        "AsyncDiskSlotStore: write_staging_slots must be >= 1 (got " +
+        "AsyncDiskSlotStore: write_staging_slots must be >= 0 (got " +
         std::to_string(options_.write_staging_slots) + ")");
   }
   if (options_.read_staging_slots < 0) {
@@ -91,9 +91,12 @@ void AsyncDiskSlotStore::put(std::int32_t slot, const Tensor& value) {
   }
   MutexLock lock(mu_);
   // Back-pressure: the training thread may run at most write_staging_slots
-  // spills ahead of the disk. Stale (superseded) jobs still occupy staging
-  // until the worker retires them -- the queue itself is what is bounded.
-  while (staged_writes_ >= options_.write_staging_slots) cv_.wait(lock);
+  // spills ahead of the disk (one in flight in synchronous mode). Stale
+  // (superseded) jobs still occupy staging until the worker retires them --
+  // the queue itself is what is bounded.
+  while (staged_writes_ >= std::max(options_.write_staging_slots, 1)) {
+    cv_.wait(lock);
+  }
   DiskSlot& state = disk_at(slot);
   invalidate_locked(state);
   state.state = State::WritePending;
@@ -109,6 +112,15 @@ void AsyncDiskSlotStore::put(std::int32_t slot, const Tensor& value) {
   }
   state.shape = value.shape();
   enqueue_write_locked(slot);
+  if (options_.write_staging_slots == 0) {
+    // Synchronous mode: return only once this write has landed or failed
+    // (or a concurrent put/drop superseded it). run_write has released
+    // the staging by then, so no staged bytes outlive the call.
+    const std::uint64_t gen = state.generation;
+    while (state.generation == gen && state.state == State::WritePending) {
+      cv_.wait(lock);
+    }
+  }
 }
 
 Tensor AsyncDiskSlotStore::get(std::int32_t slot) {

@@ -1,11 +1,14 @@
-// edgetrain: asynchronous (write-behind + prefetch) disk checkpointing.
+// edgetrain: disk checkpointing, asynchronous (write-behind + prefetch) by
+// default and synchronous on request.
 //
-// With DiskSlotStore every spill blocks the training step, so SD-card
-// latency adds *on top of* the paper's 2*rho*l recompute bound. But the
-// executor replays a fully known Schedule: every future spill and restore
-// is predictable, which is the classic overlap opportunity of hierarchical
-// checkpointing (multi-level Revolve / out-of-core adjoints). This store
-// hides the IO inside the recompute:
+// Slots below first_disk_slot stay in RAM; the rest spill to files in a
+// caller-created directory (the SD card of a Waggle node; pairs with
+// core/disk_revolve.hpp). A blocking spill adds SD-card latency *on top of*
+// the paper's 2*rho*l recompute bound. But the executor replays a fully
+// known Schedule: every future spill and restore is predictable, which is
+// the classic overlap opportunity of hierarchical checkpointing
+// (multi-level Revolve / out-of-core adjoints). This store hides the IO
+// inside the recompute:
 //
 //   * put() is write-behind: the tensor handle is staged (bounded budget)
 //     and handed to a dedicated BackgroundWorker thread; the call returns
@@ -20,11 +23,18 @@
 //     scans the upcoming Restores and prefetches spilled slots into a
 //     double-buffered staging area while the CPU recomputes the sweep.
 //
-// Failure semantics stay as loud as the synchronous store's: a failed or
-// corrupted background write/read is captured as an exception_ptr and
-// re-thrown by the get() that owns the slot (never swallowed); checksum
-// verification runs on every byte that comes back from disk, prefetched or
-// not. Destruction drains the worker before deleting spill files.
+// With both staging budgets at 0 the same store is the synchronous
+// baseline: put() returns only once its write has landed or failed, and
+// every get() of a flushed slot is a blocking read. The write still runs on
+// the IO thread, so both modes share one write path and one file format.
+//
+// Failures are loud in both modes: a failed or corrupted write/read is
+// captured as an exception_ptr and re-thrown by the get() that owns the
+// slot (never swallowed); checksum verification runs on every byte that
+// comes back from disk, prefetched or not, so a truncated or bit-rotted
+// spill file raises a descriptive std::runtime_error instead of feeding
+// garbage activations back into training. Destruction drains the worker
+// before deleting spill files.
 //
 // Memory honesty: staged writes and prefetched reads are real RAM and are
 // charged to resident_bytes(); the staging budget (default one slot per
@@ -47,7 +57,8 @@ namespace edgetrain::core {
 
 struct AsyncDiskSlotStoreOptions {
   /// Staged (written-behind) spills the training thread may run ahead of
-  /// the disk; put() blocks once the budget is full. >= 1.
+  /// the disk; put() blocks once the budget is full. >= 0 (0 makes put()
+  /// synchronous: it returns once the write has landed or failed).
   int write_staging_slots = 1;
   /// Prefetched restores held in RAM ahead of their Restore action. >= 0
   /// (0 disables prefetch; gets still benefit from write-behind).

@@ -48,7 +48,8 @@ struct DiskRevolveOptions {
   std::vector<double> spill_slot_ratios;
   bool allow_disk = true;   ///< disable to recover single-level Revolve
   /// Price disk IO as overlapped with recompute instead of serial, matching
-  /// AsyncDiskSlotStore: a write is hidden under the advance it trails
+  /// AsyncDiskSlotStore's default mode (serial pricing matches its
+  /// synchronous mode): a write is hidden under the advance it trails
   /// (max(j, w) instead of j + w) and a restore is discounted by the
   /// guaranteed compute of the sub-segment reversed while it prefetches
   /// (max(r - window, 0) instead of r). This shifts the DP's splits toward

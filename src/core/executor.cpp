@@ -47,7 +47,8 @@ ExecutionResult ScheduleExecutor::run(ChainRunner& runner,
   result.baseline_bytes = probe.baseline_bytes();
 
   // Hand the store the full action tape so lookahead-capable backends
-  // (AsyncDiskSlotStore) can prefetch upcoming restores during recompute.
+  // (AsyncDiskSlotStore with a read-staging budget) can prefetch upcoming
+  // restores during recompute.
   // RAII so end_replay fires on every exit path, including the throws the
   // fault-injection tests drive through the middle of a replay.
   struct ReplayScope {

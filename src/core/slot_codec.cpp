@@ -1,10 +1,13 @@
 #include "core/slot_codec.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "persist/crc32.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/quant.hpp"
 #include "tensor/sparse.hpp"
 #include "tensor/workspace.hpp"
 
@@ -396,6 +399,60 @@ Tensor decode_bitmap(const std::string& who, const Shape& shape,
   return out;
 }
 
+// --------------------------------------------------------------------------
+// Int8 blob layout (shape travels out of band with the store):
+//
+//   f32 scale (LE), i32 zero point (LE), then the n affine u8 codes
+//
+// real = scale * (q - zero_point), with the parameters and the bulk kernels
+// of tensor/quant.hpp. A header whose scale is not a positive finite float
+// or whose zero point leaves [0, 255] is corruption.
+// --------------------------------------------------------------------------
+
+constexpr std::size_t kInt8HeaderBytes = sizeof(float) + sizeof(std::int32_t);
+
+std::vector<std::uint8_t> encode_int8(const Tensor& value,
+                                      convert::Threading threading) {
+  const std::int64_t n = value.numel();
+  float lo = 0.0F;
+  float hi = 0.0F;
+  if (n > 0) {  // an empty tensor keeps the degenerate range
+    const auto [min_it, max_it] =
+        std::minmax_element(value.data(), value.data() + n);
+    lo = *min_it;
+    hi = *max_it;
+  }
+  const quant::QuantParams params = quant::choose_u8_params(lo, hi);
+  std::vector<std::uint8_t> blob(kInt8HeaderBytes +
+                                 static_cast<std::size_t>(n));
+  std::memcpy(blob.data(), &params.scale, sizeof(float));
+  store_u32(blob.data() + sizeof(float),
+            static_cast<std::uint32_t>(params.zero_point));
+  quant::quantize_u8(value.data(), blob.data() + kInt8HeaderBytes, n, params,
+                     threading);
+  return blob;
+}
+
+Tensor decode_int8(const std::string& who, const Shape& shape,
+                   const std::uint8_t* data, std::size_t size,
+                   convert::Threading threading) {
+  const std::int64_t n = shape.numel();
+  if (size != kInt8HeaderBytes + static_cast<std::size_t>(n)) {
+    corrupt(who, "int8 blob size mismatch");
+  }
+  quant::QuantParams params;
+  std::memcpy(&params.scale, data, sizeof(float));
+  params.zero_point = static_cast<std::int32_t>(load_u32(data + sizeof(float)));
+  if (!(params.scale > 0.0F) || !std::isfinite(params.scale) ||
+      params.zero_point < 0 || params.zero_point > 255) {
+    corrupt(who, "int8 header out of range");
+  }
+  Tensor out = Tensor::empty(shape);
+  quant::dequantize_u8(data + kInt8HeaderBytes, out.data(), n, params,
+                       threading);
+  return out;
+}
+
 }  // namespace
 
 std::string to_string(SlotCodec codec) {
@@ -406,6 +463,7 @@ std::string to_string(SlotCodec codec) {
     case SlotCodec::Bf16: return "bf16";
     case SlotCodec::Bitmap: return "bitmap";
     case SlotCodec::BitmapFp16: return "bitmap-fp16";
+    case SlotCodec::Int8: return "int8";
   }
   return "?";
 }
@@ -417,6 +475,7 @@ std::optional<SlotCodec> parse_slot_codec(std::string_view name) {
   if (name == "bf16") return SlotCodec::Bf16;
   if (name == "bitmap") return SlotCodec::Bitmap;
   if (name == "bitmap-fp16") return SlotCodec::BitmapFp16;
+  if (name == "int8") return SlotCodec::Int8;
   return std::nullopt;
 }
 
@@ -430,6 +489,8 @@ double planning_bytes_ratio(SlotCodec codec) {
     case SlotCodec::Bf16:
     case SlotCodec::BitmapFp16:
       return 0.5;
+    case SlotCodec::Int8:
+      return 0.25;
   }
   return 1.0;
 }
@@ -446,6 +507,7 @@ std::size_t max_encoded_bytes(SlotCodec codec, std::int64_t numel) {
       return n * sizeof(std::uint16_t);
     case SlotCodec::Bitmap: return 1 + n * sizeof(float);
     case SlotCodec::BitmapFp16: return 1 + n * sizeof(std::uint16_t);
+    case SlotCodec::Int8: return kInt8HeaderBytes + n;
   }
   return n * sizeof(float);
 }
@@ -478,6 +540,8 @@ std::vector<std::uint8_t> encode(SlotCodec codec, const Tensor& value,
       return encode_bitmap(value, /*halve=*/false, threading);
     case SlotCodec::BitmapFp16:
       return encode_bitmap(value, /*halve=*/true, threading);
+    case SlotCodec::Int8:
+      return encode_int8(value, threading);
   }
   throw std::logic_error("SlotCodec: unknown codec");
 }
@@ -516,6 +580,8 @@ Tensor decode(SlotCodec codec, const std::string& who, const Shape& shape,
                            threading);
     case SlotCodec::BitmapFp16:
       return decode_bitmap(who, shape, data, size, /*halve=*/true, threading);
+    case SlotCodec::Int8:
+      return decode_int8(who, shape, data, size, threading);
   }
   throw std::logic_error("SlotCodec: unknown codec");
 }

@@ -1,13 +1,14 @@
-// edgetrain: the checkpoint spill-file format shared by the disk stores.
+// edgetrain: the checkpoint spill-file format of the disk store.
 //
 // One self-describing file per spilled slot:
 //
 //   "ETSP" | u32 version | u32 payload CRC-32 | u32 rank | i64 dims[4]
 //   float32 payload, row-major                              (48-byte header)
 //
-// DiskSlotStore and AsyncDiskSlotStore both read and write this format, so
-// the fault-injection tests (bit flips, truncation) exercise one code path
-// and the async store's files stay inspectable with the same tools. Three
+// AsyncDiskSlotStore reads and writes this format in both of its modes
+// (write-behind + prefetch, and synchronous), so the fault-injection tests
+// (bit flips, truncation) exercise one code path and every spill file stays
+// inspectable with the same tools. Three
 // properties matter on the SD-card path:
 //
 //   * zero steady-state heap allocation -- the file image is assembled in

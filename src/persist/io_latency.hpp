@@ -7,8 +7,8 @@
 //
 //   EDGETRAIN_DISK_LATENCY_US=<microseconds per spill write/read>
 //
-// Both DiskSlotStore and AsyncDiskSlotStore route every spill-file write
-// and read through apply_disk_latency() (see core/spill_io.cpp), so the
+// AsyncDiskSlotStore routes every spill-file write and read through
+// apply_disk_latency() (see core/spill_io.cpp) in both of its modes, so the
 // same knob throttles the synchronous and the overlapped path identically
 // -- the honest comparison bench_async_io is built on. Tests and benches
 // can override programmatically with set_disk_latency_us(), which beats

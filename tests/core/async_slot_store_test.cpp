@@ -1,5 +1,6 @@
-// AsyncDiskSlotStore: write-behind spills, prefetched restores, and the
-// failure paths that must stay as loud as the synchronous store's. The
+// AsyncDiskSlotStore: write-behind spills, prefetched restores, the
+// synchronous mode (both staging budgets 0), and the failure paths that
+// must stay loud in both modes. The
 // concurrency tests are written to run clean under TSan (tsan CI job);
 // injected IO latency and faults go through AsyncDiskSlotStoreOptions so
 // each test controls its own timing instead of sleeping and hoping.
@@ -213,6 +214,84 @@ TEST(AsyncDiskSlotStore, TruncatedSpillReportsDescriptiveError) {
     EXPECT_NE(what.find("truncated or corrupt"), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(t.bytes())), std::string::npos) << what;
   }
+}
+
+// --- synchronous mode: both staging budgets 0 ------------------------------
+
+AsyncDiskSlotStoreOptions sync_mode() {
+  AsyncDiskSlotStoreOptions options;
+  options.write_staging_slots = 0;
+  options.read_staging_slots = 0;
+  return options;
+}
+
+TEST(AsyncDiskSlotStore, SyncModeRoundTripsThroughFiles) {
+  std::mt19937 rng(7);
+  AsyncDiskSlotStore store(4, /*first_disk_slot=*/2, test_dir("sync_files"),
+                           sync_mode());
+  Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
+  Tensor disk_tensor = Tensor::randn(Shape{4, 5}, rng);
+  store.put(0, ram_tensor);
+  store.put(3, disk_tensor);
+  EXPECT_EQ(store.disk_writes(), 1);
+  EXPECT_EQ(store.external_bytes(), disk_tensor.bytes());
+  EXPECT_EQ(store.resident_bytes(), ram_tensor.bytes());
+
+  Tensor back = store.get(3);
+  EXPECT_EQ(Tensor::max_abs_diff(back, disk_tensor), 0.0F);
+  EXPECT_EQ(store.disk_reads(), 1);
+
+  store.drop(3);
+  EXPECT_EQ(store.external_bytes(), 0U);
+  EXPECT_THROW((void)store.get(3), std::logic_error);
+}
+
+TEST(AsyncDiskSlotStore, SyncModePutReturnsOnceTheWriteLanded) {
+  AsyncDiskSlotStoreOptions options = sync_mode();
+  options.io_fault = [](std::int32_t, bool is_write) {
+    if (is_write) sleep_ms(20);  // a slow SD card the put must wait for
+  };
+  AsyncDiskSlotStore store(1, 0, test_dir("sync_put"), options);
+  const Tensor t = Tensor::zeros(Shape{128});
+  store.put(0, t);  // no flush()
+  EXPECT_EQ(store.disk_writes(), 1);
+  EXPECT_EQ(store.external_bytes(), t.bytes());
+  EXPECT_EQ(store.resident_bytes(), 0U);  // no staging left to charge
+
+  AsyncDiskSlotStoreOptions negative;
+  negative.write_staging_slots = -1;
+  EXPECT_THROW(AsyncDiskSlotStore(1, 0, test_dir("sync_put"), negative),
+               std::invalid_argument);
+}
+
+TEST(AsyncDiskSlotStore, SyncModeOverwriteReplacesBytes) {
+  AsyncDiskSlotStore store(2, 0, test_dir("sync_overwrite"), sync_mode());
+  store.put(0, Tensor::zeros(Shape{16}));
+  store.put(0, Tensor::zeros(Shape{4}));
+  EXPECT_EQ(store.external_bytes(), 16U);
+}
+
+// The blocking-read twin of PrefetchedBitFlipRaisesDescriptiveChecksumError.
+TEST(AsyncDiskSlotStore, SyncModeBitFlippedSpillFileFailsChecksum) {
+  std::mt19937 rng(29);
+  const std::string dir = test_dir("sync_bitflip");
+  AsyncDiskSlotStore store(2, /*first_disk_slot=*/0, dir, sync_mode());
+  Tensor t = Tensor::randn(Shape{16, 16}, rng);
+  store.put(0, t);
+
+  // An SD card flips one bit in the spill file behind the store's back.
+  persist::flip_bit(dir + "/slot_0.ckpt", t.bytes() / 2, 2);
+  try {
+    (void)store.get(0);
+    FAIL() << "corrupt spill file returned without error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+
+  // A clean rewrite of the slot recovers it.
+  store.put(0, t);
+  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), t), 0.0F);
 }
 
 TEST(AsyncDiskSlotStore, DestructionJoinsWritesInFlight) {

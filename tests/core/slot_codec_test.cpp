@@ -257,6 +257,25 @@ TEST(SlotCodecTest, DecodeRejectsStructuralCorruption) {
   EXPECT_THROW(codec::decode(SlotCodec::Fp16, "test", shape,
                              half_blob.data(), half_blob.size() - 2),
                std::runtime_error);
+  // Int8 codec: a truncated blob, a blob decoded under the wrong shape, and
+  // a header with an impossible zero point are all rejected.
+  std::vector<std::uint8_t> int8_blob =
+      codec::encode(SlotCodec::Int8, original);
+  ASSERT_EQ(int8_blob.size(), 8 + values.size());
+  EXPECT_THROW(codec::decode(SlotCodec::Int8, "test", shape, int8_blob.data(),
+                             int8_blob.size() - 1),
+               std::runtime_error);
+  EXPECT_THROW(
+      codec::decode(SlotCodec::Int8, "test", shape, int8_blob.data(), 4),
+      std::runtime_error);
+  EXPECT_THROW(codec::decode(SlotCodec::Int8, "test", Shape{511},
+                             int8_blob.data(), int8_blob.size()),
+               std::runtime_error);
+  int8_blob[4] = 0xFF;  // zero point >= 0xFFFF: outside [0, 255]
+  int8_blob[5] = 0xFF;
+  EXPECT_THROW(codec::decode(SlotCodec::Int8, "test", shape, int8_blob.data(),
+                             int8_blob.size()),
+               std::runtime_error);
 }
 
 // --- lossy blob codecs ----------------------------------------------------
@@ -453,9 +472,9 @@ TEST(SlotCodecTest, BitmapRejectsShapeMismatchAndForgedCounts) {
 // --- parsing / planning ratios --------------------------------------------
 
 TEST(SlotCodecTest, ParseAndToStringRoundTrip) {
-  for (const SlotCodec codec : {SlotCodec::None, SlotCodec::Lossless,
-                                SlotCodec::Fp16, SlotCodec::Bf16,
-                                SlotCodec::Bitmap, SlotCodec::BitmapFp16}) {
+  for (const SlotCodec codec :
+       {SlotCodec::None, SlotCodec::Lossless, SlotCodec::Fp16, SlotCodec::Bf16,
+        SlotCodec::Bitmap, SlotCodec::BitmapFp16, SlotCodec::Int8}) {
     const auto parsed = parse_slot_codec(to_string(codec));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, codec);
@@ -473,6 +492,8 @@ TEST(SlotCodecTest, PlanningRatiosAreSound) {
   // achieved per-slot ratio feeds back through measured_slot_ratio.
   EXPECT_EQ(planning_bytes_ratio(SlotCodec::Bitmap), 1.0);
   EXPECT_EQ(planning_bytes_ratio(SlotCodec::BitmapFp16), 0.5);
+  // Like BitmapFp16's mode byte, Int8's 8-byte header is left out.
+  EXPECT_EQ(planning_bytes_ratio(SlotCodec::Int8), 0.25);
 }
 
 TEST(CompressedSlotStoreTest, BitmapStoreRecordsMeasuredPerSlotRatio) {

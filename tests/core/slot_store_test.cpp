@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <random>
 
+#include "core/async_slot_store.hpp"
 #include "core/executor.hpp"
 #include "core/revolve.hpp"
 #include "models/small_nets.hpp"
-#include "persist/fault.hpp"
 #include "nn/chain_runner.hpp"
 #include "nn/layers.hpp"
 #include "tensor/alloc.hpp"
@@ -78,78 +79,9 @@ TEST(RamSlotStore, SharesStorageWithoutCopy) {
   EXPECT_EQ(t.at(0), 5.0F);
 }
 
-TEST(DiskSlotStore, RoundTripsThroughFiles) {
-  std::mt19937 rng(7);
-  DiskSlotStore store(4, /*first_disk_slot=*/2, ::testing::TempDir());
-  Tensor ram_tensor = Tensor::randn(Shape{2, 3}, rng);
-  Tensor disk_tensor = Tensor::randn(Shape{4, 5}, rng);
-  store.put(0, ram_tensor);
-  store.put(3, disk_tensor);
-  EXPECT_EQ(store.disk_writes(), 1);
-  EXPECT_EQ(store.external_bytes(), disk_tensor.bytes());
-  EXPECT_EQ(store.resident_bytes(), ram_tensor.bytes());
-
-  Tensor back = store.get(3);
-  EXPECT_EQ(Tensor::max_abs_diff(back, disk_tensor), 0.0F);
-  EXPECT_EQ(store.disk_reads(), 1);
-
-  store.drop(3);
-  EXPECT_EQ(store.external_bytes(), 0U);
-  EXPECT_THROW((void)store.get(3), std::logic_error);
-}
-
-TEST(DiskSlotStore, OverwriteReplacesBytes) {
-  DiskSlotStore store(2, 0, ::testing::TempDir());
-  store.put(0, Tensor::zeros(Shape{16}));
-  store.put(0, Tensor::zeros(Shape{4}));
-  EXPECT_EQ(store.external_bytes(), 16U);
-}
-
-TEST(DiskSlotStore, BitFlippedSpillFileFailsChecksum) {
-  std::mt19937 rng(29);
-  DiskSlotStore store(2, /*first_disk_slot=*/0, ::testing::TempDir());
-  Tensor t = Tensor::randn(Shape{16, 16}, rng);
-  store.put(0, t);
-
-  // An SD card flips one bit in the spill file behind the store's back.
-  const std::string path =
-      std::string(::testing::TempDir()) + "/slot_0.ckpt";
-  persist::flip_bit(path, t.bytes() / 2, 2);
-  try {
-    (void)store.get(0);
-    FAIL() << "corrupt spill file returned without error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
-        << error.what();
-  }
-
-  // A clean rewrite of the slot recovers it.
-  store.put(0, t);
-  EXPECT_EQ(Tensor::max_abs_diff(store.get(0), t), 0.0F);
-}
-
-TEST(DiskSlotStore, TruncatedSpillFileReportsDescriptiveError) {
-  std::mt19937 rng(31);
-  DiskSlotStore store(2, /*first_disk_slot=*/0, ::testing::TempDir());
-  Tensor t = Tensor::randn(Shape{8, 8}, rng);
-  store.put(1, t);
-
-  const std::string path =
-      std::string(::testing::TempDir()) + "/slot_1.ckpt";
-  persist::truncate_file(path, t.bytes() - 12);
-  try {
-    (void)store.get(1);
-    FAIL() << "truncated spill file returned without error";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("truncated or corrupt"), std::string::npos) << what;
-    EXPECT_NE(what.find(std::to_string(t.bytes())), std::string::npos) << what;
-  }
-}
-
-TEST(QuantizedSlotStore, HalfRoundTripAccuracy) {
+TEST(CompressedSlotStoreTest, HalfRoundTripAccuracy) {
   std::mt19937 rng(11);
-  QuantizedSlotStore store(2, QuantizedSlotStore::Precision::Half);
+  CompressedSlotStore store(2, SlotCodec::Fp16);
   Tensor t = Tensor::randn(Shape{128}, rng);
   store.put(0, t);
   EXPECT_EQ(store.resident_bytes(), 256U);  // 2 bytes/element
@@ -157,32 +89,41 @@ TEST(QuantizedSlotStore, HalfRoundTripAccuracy) {
   EXPECT_LT(Tensor::max_abs_diff(back, t), 5e-3F);
 }
 
-TEST(QuantizedSlotStore, Int8RoundTripAccuracy) {
+TEST(CompressedSlotStoreTest, Int8RoundTripAccuracy) {
   std::mt19937 rng(13);
-  QuantizedSlotStore store(2, QuantizedSlotStore::Precision::Int8);
+  CompressedSlotStore store(2, SlotCodec::Int8);
   Tensor t = Tensor::uniform(Shape{256}, rng, -2.0F, 2.0F);
   store.put(0, t);
-  EXPECT_EQ(store.resident_bytes(), 256U);  // 1 byte/element
+  EXPECT_EQ(store.resident_bytes(), 256U + 8U);  // 1 byte/element + header
   Tensor back = store.get(0);
   // max error = half a quantisation step = range/255/2.
   EXPECT_LT(Tensor::max_abs_diff(back, t), 4.0F / 255.0F);
 }
 
-TEST(QuantizedSlotStore, TrackerSeesEncodedBytes) {
+TEST(CompressedSlotStoreTest, Int8EmptyTensorRoundTrips) {
+  CompressedSlotStore store(1, SlotCodec::Int8);
+  store.put(0, Tensor::zeros(Shape{0}));
+  EXPECT_EQ(store.resident_bytes(), 8U);  // the header alone
+  const Tensor back = store.get(0);
+  EXPECT_EQ(back.numel(), 0);
+  EXPECT_EQ(back.shape(), Shape{0});
+}
+
+TEST(CompressedSlotStoreTest, TrackerSeesEncodedBytes) {
   auto& tracker = MemoryTracker::instance();
   const std::size_t before = tracker.current_bytes();
   {
-    QuantizedSlotStore store(1, QuantizedSlotStore::Precision::Int8);
+    CompressedSlotStore store(1, SlotCodec::Int8);
     Tensor t = Tensor::zeros(Shape{1024});
     store.put(0, t);
     t.reset();
-    EXPECT_EQ(tracker.current_bytes(), before + 1024);  // encoded only
+    EXPECT_EQ(tracker.current_bytes(), before + 1024 + 8);  // encoded only
   }
   EXPECT_EQ(tracker.current_bytes(), before);
 }
 
-TEST(QuantizedSlotStore, DropFreesTrackedBytes) {
-  QuantizedSlotStore store(1, QuantizedSlotStore::Precision::Half);
+TEST(CompressedSlotStoreTest, DropFreesTrackedBytes) {
+  CompressedSlotStore store(1, SlotCodec::Fp16);
   store.put(0, Tensor::zeros(Shape{64}));
   EXPECT_GT(store.resident_bytes(), 0U);
   store.drop(0);
@@ -227,8 +168,15 @@ TEST(ExecutorWithStores, DiskSpillGradsBitIdentical) {
   RamSlotStore ram(schedule.num_slots());
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
 
-  // Spill every non-input slot to disk: lossless, so grads stay identical.
-  DiskSlotStore disk(schedule.num_slots(), 1, ::testing::TempDir());
+  // Spill every non-input slot to disk, synchronously (no staging, every
+  // restore a blocking read): lossless, so grads stay identical.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/executor_disk_spill";
+  std::filesystem::create_directories(dir);
+  AsyncDiskSlotStoreOptions sync;
+  sync.write_staging_slots = 0;
+  sync.read_staging_slots = 0;
+  AsyncDiskSlotStore disk(schedule.num_slots(), 1, dir, sync);
   const StoreRun spilled = run_with_store(chain, schedule, x, disk);
   EXPECT_GT(disk.disk_writes(), 0);
 
@@ -272,15 +220,13 @@ TEST(ExecutorWithStores, QuantizedCheckpointsGiveApproximateGrads) {
   const StoreRun reference = run_with_store(chain, schedule, x, ram);
   const float scale = max_param_scale(reference);
 
-  QuantizedSlotStore half(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Half);
+  CompressedSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
   const StoreRun halved = run_with_store(chain, schedule, x, half);
   const float half_err = max_param_err(reference, halved);
   EXPECT_GT(half_err, 0.0F);          // lossy checkpoints are visible...
   EXPECT_LT(half_err, 0.01F * scale); // ...but small at fp16
 
-  QuantizedSlotStore int8(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Int8);
+  CompressedSlotStore int8(schedule.num_slots(), SlotCodec::Int8);
   const StoreRun quantised = run_with_store(chain, schedule, x, int8);
   const float int8_err = max_param_err(reference, quantised);
   EXPECT_GT(int8_err, half_err);       // int8 is coarser than fp16
@@ -295,8 +241,7 @@ TEST(ExecutorWithStores, QuantizedStoreHalvesCheckpointMemory) {
 
   RamSlotStore ram(schedule.num_slots());
   (void)run_with_store(chain, schedule, x, ram);
-  QuantizedSlotStore half(schedule.num_slots(),
-                          QuantizedSlotStore::Precision::Half);
+  CompressedSlotStore half(schedule.num_slots(), SlotCodec::Fp16);
 
   // Peak store occupancy: hold all slots with one activation each.
   Tensor act = Tensor::randn(Shape{1, 8, 12, 12}, rng);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
+#include <string>
 
 #include "models/small_nets.hpp"
 #include "tensor/ops.hpp"
@@ -46,6 +48,15 @@ double eval_accuracy(LayerChain& chain, std::mt19937& rng) {
   return static_cast<double>(correct) / static_cast<double>(preds.size());
 }
 
+/// Per-test spill directory, so concurrently running tests never share
+/// slot files.
+std::string spill_dir(const std::string& name) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/trainer_" + name;
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 struct StrategyCase {
   CheckpointStrategy strategy;
   SlotBackend backend;
@@ -60,6 +71,7 @@ TEST_P(TrainerStrategyTest, LearnsQuadrantTask) {
   TrainerOptions options;
   options.strategy = strategy;
   options.backend = backend;
+  options.spill_directory = spill_dir("strategies");
   options.free_slots = 2;
   options.lr = 0.08F;
   Trainer trainer(chain, options);
@@ -86,11 +98,13 @@ INSTANTIATE_TEST_SUITE_P(
         StrategyCase{CheckpointStrategy::Revolve, SlotBackend::Int8}));
 
 TEST(Trainer, RevolveIdenticalToFullStorageTrajectory) {
-  auto run = [](CheckpointStrategy strategy) {
+  auto run = [](CheckpointStrategy strategy, SlotBackend backend) {
     std::mt19937 rng(611);
     LayerChain chain = models::build_patch_cnn(12, 1, 4, 4, rng);
     TrainerOptions options;
     options.strategy = strategy;
+    options.backend = backend;
+    options.spill_directory = spill_dir("trajectory");
     options.free_slots = 1;
     Trainer trainer(chain, options);
     std::mt19937 data_rng(613);
@@ -102,10 +116,13 @@ TEST(Trainer, RevolveIdenticalToFullStorageTrajectory) {
     for (const ParamRef& p : chain.params()) weights.push_back(p.value->clone());
     return weights;
   };
-  const auto full = run(CheckpointStrategy::FullStorage);
-  const auto revolve = run(CheckpointStrategy::Revolve);
+  const auto full = run(CheckpointStrategy::FullStorage, SlotBackend::Ram);
+  const auto revolve = run(CheckpointStrategy::Revolve, SlotBackend::Ram);
+  // Spilling is lossless: the disk backend keeps the trajectory too.
+  const auto spilled = run(CheckpointStrategy::Revolve, SlotBackend::DiskSpill);
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(Tensor::max_abs_diff(full[i], revolve[i]), 0.0F) << i;
+    EXPECT_EQ(Tensor::max_abs_diff(full[i], spilled[i]), 0.0F) << i;
   }
 }
 
