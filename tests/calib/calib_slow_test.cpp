@@ -6,6 +6,7 @@
 // noisy for a timing assertion in a correctness gate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -21,6 +22,7 @@
 #include "models/resnet.hpp"
 #include "models/small_nets.hpp"
 #include "nn/chain_runner.hpp"
+#include "tensor/parallel.hpp"
 
 namespace edgetrain::calib {
 namespace {
@@ -73,8 +75,30 @@ TEST(CalibrateSlow, MeasuredPlanBeatsUnitOnPyramid) {
   MeasureOptions options;
   options.min_sample_seconds = 0.002;
   options.repeats = 2;
-  const ChainCosts costs = measure_chain(chain, x, options);
+  // One measurement on a loaded host (a parallel ctest run) can flatten the
+  // pyramid's profile: a burst that inflates the cheap tail erases the
+  // imbalance the planner must see. Two guards keep the costs the
+  // assertions see settled rather than one noisy draw:
+  //   * the probe runs on one pool thread, since a fork-join dispatch on an
+  //     oversubscribed host stalls on its slowest worker, which inflates
+  //     the short tail steps far more than the long head steps;
+  //   * the per-step minimum is kept over repeated measurements until one
+  //     more lowers no step by over 5%.
+  ThreadPool::set_global_threads(1);
+  ChainCosts costs = measure_chain(chain, x, options);
   ASSERT_TRUE(costs.valid());
+  constexpr int kMaxMeasurements = 10;
+  for (int n = 1; n < kMaxMeasurements; ++n) {
+    const ChainCosts again = measure_chain(chain, x, options);
+    ASSERT_TRUE(again.valid());
+    bool settled = true;
+    for (std::size_t i = 0; i < costs.forward_us.size(); ++i) {
+      if (again.forward_us[i] < 0.95 * costs.forward_us[i]) settled = false;
+      costs.forward_us[i] = std::min(costs.forward_us[i], again.forward_us[i]);
+    }
+    if (settled) break;
+  }
+  ThreadPool::set_global_threads(0);  // back to the hardware default
   // The pyramid's early stage runs at full resolution: the measurement
   // must see the imbalance (first step well above the last).
   EXPECT_GT(costs.forward_us.front(), 2.0 * costs.forward_us.back());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <random>
 
@@ -9,12 +10,20 @@ namespace edgetrain::models {
 namespace {
 
 // The canonical torchvision trainable-parameter counts (1000 classes).
+//
+// gtest names each case by the raw bytes of its parameter, and ctest keeps
+// that name. Bytes 4..7 used to be alignment padding, so the names carried
+// whatever the stack held and changed from build to build. `name_bytes`
+// fills them explicitly with the values the registered names carry, which
+// keeps every case name fixed.
 struct ParamCase {
   ResNetVariant variant;
+  std::uint32_t name_bytes;
   std::int64_t params;
   int depth;
   int blocks;
 };
+static_assert(sizeof(ParamCase) == 24, "ParamCase must have no padding");
 
 class ParamCountTest : public ::testing::TestWithParam<ParamCase> {};
 
@@ -30,11 +39,11 @@ TEST_P(ParamCountTest, MatchesCanonicalValue) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, ParamCountTest,
     ::testing::Values(
-        ParamCase{ResNetVariant::ResNet18, 11689512, 18, 8},
-        ParamCase{ResNetVariant::ResNet34, 21797672, 34, 16},
-        ParamCase{ResNetVariant::ResNet50, 25557032, 50, 16},
-        ParamCase{ResNetVariant::ResNet101, 44549160, 101, 33},
-        ParamCase{ResNetVariant::ResNet152, 60192808, 152, 50}));
+        ParamCase{ResNetVariant::ResNet18, 0xEFD00000, 11689512, 18, 8},
+        ParamCase{ResNetVariant::ResNet34, 0, 21797672, 34, 16},
+        ParamCase{ResNetVariant::ResNet50, 0x00091E03, 25557032, 50, 16},
+        ParamCase{ResNetVariant::ResNet101, 0xCAC50000, 44549160, 101, 33},
+        ParamCase{ResNetVariant::ResNet152, 0, 60192808, 152, 50}));
 
 TEST(ResNetSpec, ActivationsLinearInBatch) {
   const ResNetSpec spec = ResNetSpec::make(ResNetVariant::ResNet34);

@@ -2,16 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "models/memory_model.hpp"
 
 namespace edgetrain::models {
 namespace {
 
 // Canonical torchvision parameter counts (plain VGG, 1000 classes).
+//
+// gtest names each case by the raw bytes of its parameter, and ctest keeps
+// that name. Bytes 4..7 used to be alignment padding, so the names carried
+// whatever the stack held and changed from build to build. `name_bytes`
+// fills them explicitly with the values the registered names carry, which
+// keeps every case name fixed.
 struct VggCase {
   VggVariant variant;
+  std::uint32_t name_bytes;
   std::int64_t params;
 };
+static_assert(sizeof(VggCase) == 16, "VggCase must have no padding");
 
 class VggParamTest : public ::testing::TestWithParam<VggCase> {};
 
@@ -22,10 +32,10 @@ TEST_P(VggParamTest, MatchesCanonicalValue) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, VggParamTest,
-    ::testing::Values(VggCase{VggVariant::Vgg11, 132863336},
-                      VggCase{VggVariant::Vgg13, 133047848},
-                      VggCase{VggVariant::Vgg16, 138357544},
-                      VggCase{VggVariant::Vgg19, 143667240}));
+    ::testing::Values(VggCase{VggVariant::Vgg11, 0, 132863336},
+                      VggCase{VggVariant::Vgg13, 0x00091E03, 133047848},
+                      VggCase{VggVariant::Vgg16, 0xCAD00000, 138357544},
+                      VggCase{VggVariant::Vgg19, 0, 143667240}));
 
 TEST(VggSpec, ActivationsLinearInBatch) {
   const VggSpec spec = VggSpec::make(VggVariant::Vgg16);
