@@ -68,6 +68,54 @@ void BM_GemmTrans(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTrans)->DenseRange(0, 3)->UseRealTime();
 
+// The skinny GEMMs a batch-1 ResNet-18 step at 112x112 runs: the 3x3 conv
+// of each stage (the 7x7 stem for stage 0) lowered through im2col, as
+// conv2d_forward / conv2d_backward_acc call gemm. Arg 0 is the stage
+// (0 = stem, 1..4), arg 1 the call: 0 forward W * col, 1 grad_w += gy *
+// col^T, 2 grad_x col = W^T * gy. One pool thread, like the training step
+// the end-to-end benchmark times.
+void BM_GemmEdge(benchmark::State& state) {
+  struct ConvShape {
+    std::int64_t cout;
+    std::int64_t col_rows;  // cin * kh * kw
+    std::int64_t area;      // ho * wo
+  };
+  constexpr ConvShape kStages[] = {
+      {64, 3 * 49, 56 * 56}, {64, 64 * 9, 28 * 28},  {128, 128 * 9, 14 * 14},
+      {256, 256 * 9, 7 * 7}, {512, 512 * 9, 4 * 4},
+  };
+  const ConvShape s = kStages[state.range(0)];
+  const auto call = state.range(1);
+  ThreadPool::set_global_threads(1);
+  std::mt19937 rng(9);
+  Tensor w = Tensor::randn(Shape{s.cout, s.col_rows}, rng);
+  Tensor col = Tensor::randn(Shape{s.col_rows, s.area}, rng);
+  Tensor gy = Tensor::randn(Shape{s.cout, s.area}, rng);
+  Tensor gw = Tensor::zeros(Shape{s.cout, s.col_rows});
+  for (auto _ : state) {
+    if (call == 0) {
+      ops::gemm(false, false, s.cout, s.area, s.col_rows, 1.0F, w.data(),
+                col.data(), 0.0F, gy.data());
+      benchmark::DoNotOptimize(gy.data());
+    } else if (call == 1) {
+      ops::gemm(false, true, s.cout, s.col_rows, s.area, 1.0F, gy.data(),
+                col.data(), 1.0F, gw.data());
+      benchmark::DoNotOptimize(gw.data());
+    } else {
+      ops::gemm(true, false, s.col_rows, s.area, s.cout, 1.0F, w.data(),
+                gy.data(), 0.0F, col.data());
+      benchmark::DoNotOptimize(col.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  ThreadPool::set_global_threads(0);
+  set_flops(state, 2.0 * static_cast<double>(s.cout) * s.col_rows * s.area);
+}
+BENCHMARK(BM_GemmEdge)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}})
+    ->ArgNames({"stage", "call"})
+    ->UseRealTime();
+
 void BM_Conv2dForward(benchmark::State& state) {
   const auto channels = state.range(0);
   std::mt19937 rng(2);

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "tensor/convert.hpp"
 #include "tensor/guards.hpp"
@@ -35,9 +37,12 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
 // op(A)/op(B) are packed into contiguous panels drawn from the per-thread
 // Workspace arena -- A as column-major micro-panels of kMR rows, B as
 // row-major micro-panels of kNR columns -- so the inner kernel streams two
-// contiguous buffers regardless of the trans_a/trans_b combination. The
-// kMR x kNR accumulator tile lives in registers (target_clones emits
-// AVX-512/AVX2/SSE variants and dispatches at load time; no intrinsics).
+// contiguous buffers regardless of the trans_a/trans_b combination. When an
+// N-block is a single B panel every A panel is read exactly once, so fp32 A
+// is then read in place through its row/column strides instead of packed.
+// The kMR x kNR accumulator tile lives in registers (one kernel version per
+// AVX-512/AVX2/SSE level, dispatched at load time; no intrinsics), and full
+// tiles are written to C straight from those registers.
 // Work is parallelised 2-D over (M-block x N-block) tasks; each C tile is
 // written by exactly one task with a fixed reduction order, so results are
 // bit-for-bit reproducible for any worker count.
@@ -45,39 +50,36 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
 
 namespace {
 
-constexpr std::int64_t kMR = 6;    // micro-tile rows (register blocking)
+constexpr std::int64_t kMR = 8;    // micro-tile rows (register blocking)
 constexpr std::int64_t kNR = 16;   // micro-tile cols (one AVX-512 vector)
 constexpr std::int64_t kMC = 120;  // A-block rows per task (multiple of kMR)
 constexpr std::int64_t kKC = 256;  // packed panel depth (L1/L2 resident)
 constexpr std::int64_t kNC = 256;  // B-block cols per task (multiple of kNR)
 
 // Micro-architecture levels (not bare ISA bits: v3/v4 imply FMA, which the
-// accumulator update contracts into) cloned per function and dispatched by
-// the loader's ifunc resolver, so the standard build needs no -march flags.
+// accumulator update contracts into): block_kernel has one version per
+// level, dispatched by the loader's ifunc resolver, so the standard build
+// needs no -march flags.
 //
 // Sanitizer builds must NOT multi-version: the ifunc resolver runs during
 // relocation, before __tsan_init/__asan_init, and gcc instruments it like
 // any other function -- the first __tsan_func_entry then dereferences
 // uninitialised sanitizer TLS and the binary segfaults before main.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define EDGETRAIN_KERNEL_CLONES
-#elif defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
-#define EDGETRAIN_KERNEL_CLONES \
-  __attribute__(                \
-      (target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#else
-#define EDGETRAIN_KERNEL_CLONES
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+#define EDGETRAIN_KERNEL_VERSIONS 1
 #endif
 
 // GNU vector extensions give the micro-kernel named vector accumulators the
 // compiler keeps in registers for the whole k loop; a plain scalar tile
 // written through a pointer gets spilled to the stack every iteration
 // (load-op-store per row), which is ~40x slower. Portable across GCC/Clang
-// on every target; scalar fallback for anything else.
-#if defined(__GNUC__) || defined(__clang__)
-#define EDGETRAIN_VECTOR_EXT 1
+// on every target. A vector wider than the target's registers has no
+// register mode and lives on the stack, so each version picks the width
+// its registers hold.
+using Vec4f = float __attribute__((vector_size(16)));
 using Vec8f = float __attribute__((vector_size(32)));
-#endif
+using Vec16f = float __attribute__((vector_size(64)));
 
 /// Packing-time element widening: fp32 operands copy through, bf16 bit
 /// patterns decode (exactly -- bf16 is truncated fp32) while the panel is
@@ -154,52 +156,13 @@ void pack_b(const TB* b, bool trans, std::int64_t ldb, std::int64_t p0,
   }
 }
 
-/// acc[kMR, kNR] = sum_p ap[p, :] (outer) bp[p, :]. The hot loop: both
-/// panels stream contiguously while the 6x16 accumulator tile lives in
-/// twelve 8-wide vector registers for the entire depth loop.
-EDGETRAIN_KERNEL_CLONES
-void micro_kernel(std::int64_t kc, const float* __restrict ap,
-                  const float* __restrict bp, float* __restrict acc) {
-#if defined(EDGETRAIN_VECTOR_EXT)
-  Vec8f c[kMR][2] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    Vec8f b0;
-    Vec8f b1;
-    std::memcpy(&b0, bp, sizeof b0);
-    std::memcpy(&b1, bp + 8, sizeof b1);
-#pragma GCC unroll 6
-    for (std::int64_t i = 0; i < kMR; ++i) {
-      const float av = ap[i];
-      const Vec8f avv = {av, av, av, av, av, av, av, av};
-      c[i][0] += avv * b0;
-      c[i][1] += avv * b1;
-    }
-    ap += kMR;
-    bp += kNR;
-  }
-  for (std::int64_t i = 0; i < kMR; ++i) {
-    std::memcpy(acc + i * kNR, &c[i][0], sizeof(Vec8f));
-    std::memcpy(acc + i * kNR + 8, &c[i][1], sizeof(Vec8f));
-  }
-#else
-  float c[kMR * kNR] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    for (std::int64_t i = 0; i < kMR; ++i) {
-      const float av = ap[i];
-      for (std::int64_t j = 0; j < kNR; ++j) c[i * kNR + j] += av * bp[j];
-    }
-    ap += kMR;
-    bp += kNR;
-  }
-  std::memcpy(acc, c, sizeof c);
-#endif
-}
-
 /// c[rows, cols] = alpha * acc + beta * c (beta folds the previous value;
 /// rows/cols clip the zero-padded accumulator at the matrix edge).
-void apply_tile(const float* acc, float* c, std::int64_t ldc,
-                std::int64_t rows, std::int64_t cols, float alpha,
-                float beta) {
+/// noinline keeps it at the baseline ISA: inlined into an FMA clone, the
+/// alpha/beta update would contract and round differently.
+[[gnu::noinline]] void apply_tile(const float* acc, float* c, std::int64_t ldc,
+                                  std::int64_t rows, std::int64_t cols,
+                                  float alpha, float beta) {
   for (std::int64_t i = 0; i < rows; ++i) {
     const float* src = acc + i * kNR;
     float* dst = c + i * ldc;
@@ -214,6 +177,114 @@ void apply_tile(const float* acc, float* c, std::int64_t ldc,
     }
   }
 }
+
+/// Where the micro-kernel reads A: element (r, p) of the row panel that
+/// starts at block row ir is data[ir * step + r * rs + p * cs]. Packed
+/// panels have rs = 1, cs = kMR, step = kc; fp32 A read in place has its
+/// own row/column strides and step = rs.
+struct APanels {
+  const float* data;
+  std::int64_t rs;
+  std::int64_t cs;
+  std::int64_t step;
+};
+
+/// One (mc x nc x kc) block of C and where its operands are read.
+struct Block {
+  APanels a;
+  const float* b;  // packed B panels
+  float* c;
+  std::int64_t ldc;
+  std::int64_t mc;
+  std::int64_t nc;
+  std::int64_t kc;
+  float alpha;
+  float beta;
+};
+
+/// Every kMR x kNR tile of the block: acc = sum_p op(A)[i, p] * B[p, :],
+/// accumulated p-sequentially in vector registers (kNR / lanes per row),
+/// kRows rows per pass over the depth. A full tile with alpha == 1 is then
+/// written as C = acc or C = C + acc straight from the registers; edge
+/// tiles and other scalars go through apply_tile. Either way each C element
+/// gets the same operations in the same order, whatever kRows and the
+/// vector width of the version that runs.
+template <typename Vec, std::int64_t kRows>
+[[gnu::always_inline]] inline void block_tiles(const Block& blk) {
+  static_assert(kMR % kRows == 0);
+  constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
+  constexpr std::size_t kParts = static_cast<std::size_t>(kNR) / kLanes;
+  const bool store_from_regs =
+      blk.alpha == 1.0F && (blk.beta == 0.0F || blk.beta == 1.0F);
+  const std::int64_t rs = blk.a.rs;
+  const std::int64_t cs = blk.a.cs;
+  for (std::int64_t ir = 0; ir < blk.mc; ir += kMR) {
+    const float* apanel = blk.a.data + ir * blk.a.step;
+    const std::int64_t rows = std::min(kMR, blk.mc - ir);
+    for (std::int64_t jr = 0; jr < blk.nc; jr += kNR) {
+      const std::int64_t cols = std::min(kNR, blk.nc - jr);
+      float* c = blk.c + ir * blk.ldc + jr;
+      const bool direct = store_from_regs && rows == kMR && cols == kNR;
+      alignas(64) float tile[kMR * kNR];
+      for (std::int64_t h = 0; h < rows; h += kRows) {
+        const float* ap = apanel + h * rs;
+        const float* bp = blk.b + jr * blk.kc;
+        Vec acc[static_cast<std::size_t>(kRows)][kParts] = {};
+        for (std::int64_t p = 0; p < blk.kc; ++p) {
+          Vec bv[kParts];
+#pragma GCC unroll 4
+          for (std::size_t q = 0; q < kParts; ++q) {
+            std::memcpy(&bv[q], bp + q * kLanes, sizeof(Vec));
+          }
+#pragma GCC unroll 8
+          for (std::int64_t i = 0; i < kRows; ++i) {
+            const float av = ap[i * rs];
+#pragma GCC unroll 4
+            for (std::size_t q = 0; q < kParts; ++q) acc[i][q] += av * bv[q];
+          }
+          ap += cs;
+          bp += kNR;
+        }
+#pragma GCC unroll 8
+        for (std::int64_t i = 0; i < kRows; ++i) {
+          float* row = direct ? c + (h + i) * blk.ldc : tile + (h + i) * kNR;
+#pragma GCC unroll 4
+          for (std::size_t q = 0; q < kParts; ++q) {
+            float* dst = row + q * kLanes;
+            if (direct && blk.beta == 1.0F) {
+              Vec old;
+              std::memcpy(&old, dst, sizeof old);
+              acc[i][q] = old + acc[i][q];
+            }
+            std::memcpy(dst, &acc[i][q], sizeof(Vec));
+          }
+        }
+      }
+      if (!direct) {
+        apply_tile(tile, c, blk.ldc, rows, cols, blk.alpha, blk.beta);
+      }
+    }
+  }
+}
+
+// A 16-wide row accumulator is one zmm register under x86-64-v4 (32 of
+// them), so one pass over all kMR rows keeps kMR independent FMA chains in
+// flight. AVX2 holds a row in two of its 16 ymm registers and SSE in four
+// of its 16 xmm registers, so those versions take the same panels in
+// passes of kMR / 2 and kMR / 4 rows.
+#if defined(EDGETRAIN_KERNEL_VERSIONS)
+[[gnu::target("arch=x86-64-v4")]] void block_kernel(const Block& blk) {
+  block_tiles<Vec16f, kMR>(blk);
+}
+[[gnu::target("arch=x86-64-v3")]] void block_kernel(const Block& blk) {
+  block_tiles<Vec8f, kMR / 2>(blk);
+}
+[[gnu::target("default")]] void block_kernel(const Block& blk) {
+  block_tiles<Vec4f, kMR / 4>(blk);
+}
+#else
+void block_kernel(const Block& blk) { block_tiles<Vec4f, kMR / 4>(blk); }
+#endif
 
 /// C *= beta for the degenerate k == 0 / alpha == 0 cases.
 void scale_c(float* c, std::int64_t m, std::int64_t n, float beta) {
@@ -257,6 +328,11 @@ void gemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   const std::int64_t mc_max = ceil_div(ceil_div(m, m_blocks), kMR) * kMR;
   m_blocks = ceil_div(m, mc_max);
 
+  // A single B panel means each A panel feeds exactly one tile, so packing
+  // A is a pure extra copy: fp32 A is read in place instead. A block with a
+  // ragged last row panel, which the kernel would read past, is packed.
+  const bool a_in_place = std::is_same_v<TA, float> && n <= kNR;
+
   parallel_for(0, m_blocks * n_blocks, 1, [&](std::int64_t t0,
                                               std::int64_t t1) {
     Workspace& ws = Workspace::tls();
@@ -266,22 +342,26 @@ void gemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t i0 = (t % m_blocks) * mc_max;
       const std::int64_t j0 = (t / m_blocks) * kNC;
-      const std::int64_t mc = std::min(mc_max, m - i0);
-      const std::int64_t nc = std::min(kNC, n - j0);
+      Block blk{};
+      blk.c = c + i0 * n + j0;
+      blk.ldc = n;
+      blk.mc = std::min(mc_max, m - i0);
+      blk.nc = std::min(kNC, n - j0);
+      blk.alpha = alpha;
+      const bool in_place = a_in_place && blk.mc % kMR == 0;
       for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
-        const std::int64_t kc = std::min(kKC, k - p0);
-        pack_a(a, trans_a, lda, i0, mc, p0, kc, packed_a);
-        pack_b(b, trans_b, ldb, p0, kc, j0, nc, packed_b);
-        const float beta_eff = p0 == 0 ? beta : 1.0F;
-        for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-          for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-            alignas(64) float acc[kMR * kNR];
-            micro_kernel(kc, packed_a + ir * kc, packed_b + jr * kc, acc);
-            apply_tile(acc, c + (i0 + ir) * n + j0 + jr, n,
-                       std::min(kMR, mc - ir), std::min(kNR, nc - jr), alpha,
-                       beta_eff);
-          }
+        blk.kc = std::min(kKC, k - p0);
+        blk.beta = p0 == 0 ? beta : 1.0F;
+        if (!in_place) {
+          pack_a(a, trans_a, lda, i0, blk.mc, p0, blk.kc, packed_a);
+          blk.a = APanels{packed_a, 1, kMR, blk.kc};
+        } else if constexpr (std::is_same_v<TA, float>) {
+          blk.a = trans_a ? APanels{a + p0 * lda + i0, 1, lda, 1}
+                          : APanels{a + i0 * lda + p0, lda, 1, lda};
         }
+        pack_b(b, trans_b, ldb, p0, blk.kc, j0, blk.nc, packed_b);
+        blk.b = packed_b;
+        block_kernel(blk);
       }
     }
   });
@@ -593,29 +673,58 @@ MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t k,
   float* yp = result.y.data();
   std::int32_t* am = result.argmax.data();
 
+  // Outputs in [lo, hi) along one axis have their whole window inside the
+  // input, so the interior skips the per-tap bounds checks (and branches:
+  // the running max is a select). Both paths scan the window row by row and
+  // keep the first strict maximum, so ties and all -inf windows (which keep
+  // index 0) pick the same argmax.
+  const auto inside = [&](std::int64_t size, std::int64_t out) {
+    const std::int64_t lo = std::min(out, ceil_div(p.pad, p.stride));
+    const std::int64_t last = size + p.pad - k;
+    const std::int64_t hi = last < 0 ? lo : std::min(out, last / p.stride + 1);
+    return std::pair{lo, std::max(lo, hi)};
+  };
+  const auto [oy_lo, oy_hi] = inside(h, ho);
+  const auto [ox_lo, ox_hi] = inside(w, wo);
+
   for (std::int64_t img = 0; img < n; ++img) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float* plane = xp + (img * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
+      float* y_row = yp + (img * c + ch) * ho * wo;
+      std::int32_t* am_row = am + (img * c + ch) * ho * wo;
+      for (std::int64_t oy = 0; oy < ho; ++oy, y_row += wo, am_row += wo) {
+        const std::int64_t iy0 = oy * p.stride - p.pad;
+        const bool row_inside = oy >= oy_lo && oy < oy_hi;
         for (std::int64_t ox = 0; ox < wo; ++ox) {
+          const std::int64_t ix0 = ox * p.stride - p.pad;
           float best = -std::numeric_limits<float>::infinity();
           std::int64_t best_idx = 0;
-          for (std::int64_t ki = 0; ki < k; ++ki) {
-            const std::int64_t iy = oy * p.stride - p.pad + ki;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kj = 0; kj < k; ++kj) {
-              const std::int64_t ix = ox * p.stride - p.pad + kj;
-              if (ix < 0 || ix >= w) continue;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
+          if (row_inside && ox >= ox_lo && ox < ox_hi) {
+            for (std::int64_t ki = 0; ki < k; ++ki) {
+              const std::int64_t base = (iy0 + ki) * w + ix0;
+              for (std::int64_t kj = 0; kj < k; ++kj) {
+                const float v = plane[base + kj];
+                best_idx = v > best ? base + kj : best_idx;
+                best = v > best ? v : best;
+              }
+            }
+          } else {
+            for (std::int64_t ki = 0; ki < k; ++ki) {
+              const std::int64_t iy = iy0 + ki;
+              if (iy < 0 || iy >= h) continue;
+              for (std::int64_t kj = 0; kj < k; ++kj) {
+                const std::int64_t ix = ix0 + kj;
+                if (ix < 0 || ix >= w) continue;
+                const float v = plane[iy * w + ix];
+                if (v > best) {
+                  best = v;
+                  best_idx = iy * w + ix;
+                }
               }
             }
           }
-          const std::int64_t out_idx = ((img * c + ch) * ho + oy) * wo + ox;
-          yp[out_idx] = best;
-          am[out_idx] = static_cast<std::int32_t>(best_idx);
+          y_row[ox] = best;
+          am_row[ox] = static_cast<std::int32_t>(best_idx);
         }
       }
     }

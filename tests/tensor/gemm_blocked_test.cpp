@@ -1,18 +1,23 @@
 // Exhaustive correctness tests for the blocked, packed GEMM.
 //
-// The kernel blocks at kMR=6 / kNR=16 (register tile), kMC=120 / kKC=256 /
+// The kernel blocks at kMR=8 / kNR=16 (register tile), kMC=120 / kKC=256 /
 // kNC=256 (cache tiles), so shapes are chosen to land on, just under and
 // just over every blocking edge, plus odd/prime shapes that exercise the
 // zero-padded fringe panels. Every trans_a/trans_b combination is crossed
-// with alpha, beta in {0, 1, 0.5}.
+// with alpha, beta in {0, 1, 0.5}. A second suite pins the exact bits: the
+// kernel must reproduce a kKC-blocked, p-sequential reference element for
+// element, with or without fused multiply-add.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <tuple>
 #include <vector>
 
+#include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -25,14 +30,15 @@ struct GemmShape {
   std::int64_t k;
 };
 
-// Edges of the register tile (6, 16), the cache tiles (120, 256) and primes
+// Edges of the register tile (8, 16), the cache tiles (120, 256) and primes
 // that divide none of them.
 const std::vector<GemmShape>& shapes() {
   static const std::vector<GemmShape> kShapes = {
-      {1, 1, 1},      {1, 16, 1},    {6, 16, 1},     {3, 5, 7},
-      {5, 6, 7},      {7, 17, 16},   {15, 16, 17},   {17, 19, 23},
-      {31, 17, 29},   {6, 32, 64},   {12, 48, 16},   {67, 129, 65},
-      {119, 120, 121}, {120, 16, 256}, {121, 257, 129},
+      {1, 1, 1},      {1, 16, 1},    {6, 16, 1},     {8, 16, 1},
+      {3, 5, 7},      {5, 6, 7},     {7, 17, 16},    {9, 17, 16},
+      {15, 16, 17},   {17, 19, 23},  {31, 17, 29},   {6, 32, 64},
+      {12, 48, 16},   {67, 129, 65}, {119, 120, 121}, {120, 16, 256},
+      {121, 257, 129},
   };
   return kShapes;
 }
@@ -90,6 +96,130 @@ TEST_P(BlockedGemmTest, MatchesReferenceAcrossShapesAndScalars) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransposes, BlockedGemmTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
+
+// a * b rounded to float on its own: the volatile store keeps the compiler
+// from contracting it into a neighbouring add.
+float mul_rounded(float a, float b) {
+  volatile float product = a * b;
+  return product;
+}
+
+/// The kernel's arithmetic spelled out per element: depth in kKC = 256
+/// blocks, each block summed p-sequentially from zero (with one fused
+/// multiply-add per step, or a rounded multiply then add), then folded into
+/// C as alpha * acc + beta * c, where beta is 1 after the first block.
+void blocked_reference(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                       std::int64_t k, float alpha, const float* a,
+                       const float* b, float beta, float* c, bool fused) {
+  constexpr std::int64_t kKC = 256;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float& out = c[i * n + j];
+      for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
+        float acc = 0.0F;
+        for (std::int64_t p = p0; p < std::min(k, p0 + kKC); ++p) {
+          const float av = ta ? a[p * m + i] : a[i * k + p];
+          const float bv = tb ? b[j * k + p] : b[p * n + j];
+          acc = fused ? std::fma(av, bv, acc) : acc + mul_rounded(av, bv);
+        }
+        const float scaled = mul_rounded(alpha, acc);
+        const float fold = p0 == 0 ? beta : 1.0F;
+        if (fold == 0.0F) {
+          out = scaled;
+        } else if (fold == 1.0F) {
+          out = out + scaled;
+        } else {
+          out = scaled + mul_rounded(fold, out);
+        }
+      }
+    }
+  }
+}
+
+std::uint32_t bits(float v) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// Shapes on the kMR = 8 tile edges, across kKC = 256 block boundaries, and
+// the skinny batch-1 ResNet-18 conv GEMMs: N = 16 / 49 (stage 4 / stage 3
+// forward and grad_x), K = 16 / 49 (their grad_w), and M = 4608 rows of a
+// transposed A (stage 4 grad_x, K cut to 64 to keep the reference cheap).
+const std::vector<GemmShape>& exact_shapes() {
+  static const std::vector<GemmShape> kShapes = {
+      {7, 16, 9},     {8, 16, 9},    {9, 16, 9},    {15, 15, 31},
+      {16, 16, 257},  {17, 17, 513}, {24, 32, 40},  {40, 16, 600},
+      {64, 49, 300},  {33, 49, 49},  {64, 200, 16}, {48, 300, 49},
+      {4608, 16, 64}, {100, 1, 300}, {3, 10, 512},
+  };
+  return kShapes;
+}
+
+class BlockedGemmExactTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(BlockedGemmExactTest, BitExactToBlockedSequentialReference) {
+  const auto [ta, tb] = GetParam();
+  // Powers of two keep alpha * acc and beta * c exact, so the final fold
+  // rounds once whether or not a build contracts it.
+  const float kAlphas[] = {1.0F, 0.5F};
+  const float kBetas[] = {0.0F, 1.0F, 0.5F};
+  std::mt19937 rng(113);
+  for (const GemmShape& s : exact_shapes()) {
+    Tensor a = Tensor::randn(ta ? Shape{s.k, s.m} : Shape{s.m, s.k}, rng);
+    Tensor b = Tensor::randn(tb ? Shape{s.n, s.k} : Shape{s.k, s.n}, rng);
+    Tensor c0 = Tensor::randn(Shape{s.m, s.n}, rng);
+    // The bf16 engine widens exactly at packing time, so its reference is
+    // the same arithmetic on the widened operands.
+    std::vector<std::uint16_t> a16(static_cast<std::size_t>(a.numel()));
+    std::vector<std::uint16_t> b16(static_cast<std::size_t>(b.numel()));
+    convert::fp32_to_bf16(a.data(), a16.data(), a.numel());
+    convert::fp32_to_bf16(b.data(), b16.data(), b.numel());
+    Tensor a_wide = Tensor::empty(a.shape());
+    Tensor b_wide = Tensor::empty(b.shape());
+    convert::bf16_to_fp32(a16.data(), a_wide.data(), a.numel());
+    convert::bf16_to_fp32(b16.data(), b_wide.data(), b.numel());
+    for (const bool bf16 : {false, true}) {
+      const float* ra = bf16 ? a_wide.data() : a.data();
+      const float* rb = bf16 ? b_wide.data() : b.data();
+      for (const float alpha : kAlphas) {
+        for (const float beta : kBetas) {
+          Tensor c = c0.clone();
+          Tensor fused = c0.clone();
+          Tensor unfused = c0.clone();
+          if (bf16) {
+            gemm_bf16(ta, tb, s.m, s.n, s.k, alpha, a16.data(), b16.data(),
+                      beta, c.data());
+          } else {
+            gemm(ta, tb, s.m, s.n, s.k, alpha, a.data(), b.data(), beta,
+                 c.data());
+          }
+          blocked_reference(ta, tb, s.m, s.n, s.k, alpha, ra, rb, beta,
+                            fused.data(), true);
+          blocked_reference(ta, tb, s.m, s.n, s.k, alpha, ra, rb, beta,
+                            unfused.data(), false);
+          std::int64_t mismatches = 0;
+          for (std::int64_t e = 0; e < c.numel(); ++e) {
+            const std::uint32_t got = bits(c.data()[e]);
+            if (got != bits(fused.data()[e]) &&
+                got != bits(unfused.data()[e])) {
+              ++mismatches;
+            }
+          }
+          EXPECT_EQ(mismatches, 0)
+              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta=" << ta
+              << " tb=" << tb << " alpha=" << alpha << " beta=" << beta
+              << " bf16=" << bf16;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransposes, BlockedGemmExactTest,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Bool()));
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -237,6 +238,73 @@ TEST(MaxPool, ForwardPicksMaxAndBackwardRoutes) {
   float total = 0.0F;
   for (std::int64_t i = 0; i < gx.numel(); ++i) total += gx.at(i);
   EXPECT_FLOAT_EQ(total, 4.0F);  // all gradient mass routed
+}
+
+TEST(MaxPool, ForwardMatchesNaiveOnBordersTiesAndNegInf) {
+  // Every tap bounds-checked, window scanned row by row, first strict max
+  // kept: the semantics the interior fast path must reproduce exactly.
+  const auto naive = [](const Tensor& x, std::int64_t k, const ConvParams& p) {
+    const std::int64_t planes = x.shape()[0] * x.shape()[1];
+    const std::int64_t h = x.shape()[2];
+    const std::int64_t w = x.shape()[3];
+    const std::int64_t ho = conv_out_size(h, k, p.stride, p.pad);
+    const std::int64_t wo = conv_out_size(w, k, p.stride, p.pad);
+    MaxPoolResult r;
+    r.y = Tensor::empty(Shape{x.shape()[0], x.shape()[1], ho, wo});
+    for (std::int64_t pl = 0; pl < planes; ++pl) {
+      for (std::int64_t oy = 0; oy < ho; ++oy) {
+        for (std::int64_t ox = 0; ox < wo; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          std::int64_t best_idx = 0;
+          for (std::int64_t ki = 0; ki < k; ++ki) {
+            for (std::int64_t kj = 0; kj < k; ++kj) {
+              const std::int64_t iy = oy * p.stride - p.pad + ki;
+              const std::int64_t ix = ox * p.stride - p.pad + kj;
+              if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+              const float v = x.data()[pl * h * w + iy * w + ix];
+              if (v > best) {
+                best = v;
+                best_idx = iy * w + ix;
+              }
+            }
+          }
+          r.y.data()[(pl * ho + oy) * wo + ox] = best;
+          r.argmax.push_back(static_cast<std::int32_t>(best_idx));
+        }
+      }
+    }
+    return r;
+  };
+  struct Case {
+    std::int64_t h, w, k, stride, pad;
+  };
+  const Case cases[] = {
+      {7, 9, 3, 2, 1},  {8, 8, 3, 2, 1}, {6, 7, 2, 2, 0},   {5, 5, 3, 1, 1},
+      {9, 6, 3, 2, 0},  {11, 10, 5, 3, 2}, {2, 3, 3, 1, 1}, {1, 1, 3, 2, 1},
+      {12, 13, 4, 3, 2},
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  // A small value set makes ties common; -inf entries (and one plane that
+  // is entirely -inf) exercise the windows whose max never moves.
+  const float values[] = {-1.0F, 0.0F, 2.0F, -inf};
+  std::mt19937 rng(41);
+  for (const Case& cs : cases) {
+    Tensor x = Tensor::empty(Shape{2, 3, cs.h, cs.w});
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x.data()[i] = values[rng() % 4];
+    }
+    for (std::int64_t i = 0; i < cs.h * cs.w; ++i) x.data()[i] = -inf;
+    const ConvParams p{cs.stride, cs.pad};
+    const MaxPoolResult got = maxpool2d_forward(x, cs.k, p);
+    const MaxPoolResult want = naive(x, cs.k, p);
+    ASSERT_EQ(got.y.shape(), want.y.shape());
+    EXPECT_EQ(got.argmax, want.argmax)
+        << cs.h << "x" << cs.w << " k=" << cs.k << " s=" << cs.stride
+        << " p=" << cs.pad;
+    for (std::int64_t i = 0; i < got.y.numel(); ++i) {
+      ASSERT_EQ(got.y.data()[i], want.y.data()[i]) << "output " << i;
+    }
+  }
 }
 
 TEST(GlobalAvgPool, ForwardBackward) {
