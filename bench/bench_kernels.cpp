@@ -74,36 +74,47 @@ BENCHMARK(BM_GemmTrans)->DenseRange(0, 3)->UseRealTime();
 // (0 = stem, 1..4), arg 1 the call: 0 forward W * col, 1 grad_w += gy *
 // col^T, 2 grad_x col = W^T * gy. One pool thread, like the training step
 // the end-to-end benchmark times.
-void BM_GemmEdge(benchmark::State& state) {
-  struct ConvShape {
-    std::int64_t cout;
-    std::int64_t col_rows;  // cin * kh * kw
-    std::int64_t area;      // ho * wo
-  };
-  constexpr ConvShape kStages[] = {
-      {64, 3 * 49, 56 * 56}, {64, 64 * 9, 28 * 28},  {128, 128 * 9, 14 * 14},
-      {256, 256 * 9, 7 * 7}, {512, 512 * 9, 4 * 4},
-  };
-  const ConvShape s = kStages[state.range(0)];
+struct ConvShape {
+  std::int64_t cout;
+  std::int64_t col_rows;  // cin * kh * kw
+  std::int64_t area;      // ho * wo
+};
+constexpr ConvShape kEdgeStages[] = {
+    {64, 3 * 49, 56 * 56}, {64, 64 * 9, 28 * 28},  {128, 128 * 9, 14 * 14},
+    {256, 256 * 9, 7 * 7}, {512, 512 * 9, 4 * 4},
+};
+
+/// Times one edge call, each iteration taking the next of `copies` copies
+/// of the weight-shaped operand (W for the forward and grad_x, the weight
+/// gradient for grad_w).
+void run_gemm_edge(benchmark::State& state, std::int64_t copies) {
+  const ConvShape s = kEdgeStages[state.range(0)];
   const auto call = state.range(1);
   ThreadPool::set_global_threads(1);
   std::mt19937 rng(9);
-  Tensor w = Tensor::randn(Shape{s.cout, s.col_rows}, rng);
+  std::vector<Tensor> weights;
+  for (std::int64_t i = 0; i < copies; ++i) {
+    weights.push_back(call == 1
+                          ? Tensor::zeros(Shape{s.cout, s.col_rows})
+                          : Tensor::randn(Shape{s.cout, s.col_rows}, rng));
+  }
   Tensor col = Tensor::randn(Shape{s.col_rows, s.area}, rng);
   Tensor gy = Tensor::randn(Shape{s.cout, s.area}, rng);
-  Tensor gw = Tensor::zeros(Shape{s.cout, s.col_rows});
+  std::size_t next = 0;
   for (auto _ : state) {
+    float* w = weights[next].data();
+    next = (next + 1) % weights.size();
     if (call == 0) {
-      ops::gemm(false, false, s.cout, s.area, s.col_rows, 1.0F, w.data(),
+      ops::gemm(false, false, s.cout, s.area, s.col_rows, 1.0F, w,
                 col.data(), 0.0F, gy.data());
       benchmark::DoNotOptimize(gy.data());
     } else if (call == 1) {
       ops::gemm(false, true, s.cout, s.col_rows, s.area, 1.0F, gy.data(),
-                col.data(), 1.0F, gw.data());
-      benchmark::DoNotOptimize(gw.data());
+                col.data(), 1.0F, w);
+      benchmark::DoNotOptimize(w);
     } else {
-      ops::gemm(true, false, s.col_rows, s.area, s.cout, 1.0F, w.data(),
-                gy.data(), 0.0F, col.data());
+      ops::gemm(true, false, s.col_rows, s.area, s.cout, 1.0F, w, gy.data(),
+                0.0F, col.data());
       benchmark::DoNotOptimize(col.data());
     }
     benchmark::ClobberMemory();
@@ -111,7 +122,25 @@ void BM_GemmEdge(benchmark::State& state) {
   ThreadPool::set_global_threads(0);
   set_flops(state, 2.0 * static_cast<double>(s.cout) * s.col_rows * s.area);
 }
+
+// Every operand warm in cache.
+void BM_GemmEdge(benchmark::State& state) { run_gemm_edge(state, 1); }
 BENCHMARK(BM_GemmEdge)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}})
+    ->ArgNames({"stage", "call"})
+    ->UseRealTime();
+
+// The weight-shaped operand cold, as in a training step, where the rest of
+// the network runs between two uses of a layer's weight: the calls rotate
+// through enough copies of it to fill 32 MiB, well past any core's L2.
+void BM_GemmEdgeCold(benchmark::State& state) {
+  const ConvShape s = kEdgeStages[state.range(0)];
+  const std::int64_t bytes =
+      s.cout * s.col_rows * static_cast<std::int64_t>(sizeof(float));
+  constexpr std::int64_t kRotationBytes = std::int64_t{32} << 20;
+  run_gemm_edge(state, std::max<std::int64_t>(2, kRotationBytes / bytes));
+}
+BENCHMARK(BM_GemmEdgeCold)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}})
     ->ArgNames({"stage", "call"})
     ->UseRealTime();

@@ -46,6 +46,19 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
 // Work is parallelised 2-D over (M-block x N-block) tasks; each C tile is
 // written by exactly one task with a fixed reduction order, so results are
 // bit-for-bit reproducible for any worker count.
+//
+// Three shape classes change only the order in which tiles and depth blocks
+// are visited (DESIGN.md section 8). Each has a tall op(A) -- at least one
+// full kMC-row M-block -- and packs its small operand once per call, shared
+// read-only by every task:
+//   1. narrow N, A not transposed: each row panel runs over the whole depth
+//      reading A in place, so every row of A streams end to end once;
+//   2. one B panel, A transposed: a sweep over kTR-row tiles, one cache
+//      line of A^T wide, in depth chunks of kPC, so kPC rows of A^T stream
+//      side by side while the tiles' sums wait in L2 scratch;
+//   3. one depth block, a C wider than kNC and at least four times the
+//      size of op(B), which every row panel re-reads from L2: the N-block
+//      spans the whole row, so each row panel of C streams end to end.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -55,6 +68,13 @@ constexpr std::int64_t kNR = 16;   // micro-tile cols (one AVX-512 vector)
 constexpr std::int64_t kMC = 120;  // A-block rows per task (multiple of kMR)
 constexpr std::int64_t kKC = 256;  // packed panel depth (L1/L2 resident)
 constexpr std::int64_t kNC = 256;  // B-block cols per task (multiple of kNR)
+constexpr std::int64_t kTR = 16;   // transposed-sweep tile rows (64 bytes)
+constexpr std::int64_t kPC = 16;   // transposed-sweep depth chunk
+// Narrow N: op(B) is at most this many columns (a few B panels).
+constexpr std::int64_t kNarrowN = 4 * kNR;
+// What one call keeps resident beside its streamed operand: half of a
+// 2 MiB L2, in floats.
+constexpr std::int64_t kL2Floats = 256 * 1024;
 
 // Micro-architecture levels (not bare ISA bits: v3/v4 imply FMA, which the
 // accumulator update contracts into): block_kernel has one version per
@@ -153,6 +173,17 @@ void pack_b(const TB* b, bool trans, std::int64_t ldb, std::int64_t p0,
       }
     }
     dst += kNR * kc;
+  }
+}
+
+/// Packs all of op(B) (k x n) once: the panels pack_b lays out for depth
+/// block p0 land at dst + p0 * n_pad, n_pad being n rounded up to kNR.
+template <typename TB>
+void pack_b_all(const TB* b, bool trans, std::int64_t ldb, std::int64_t k,
+                std::int64_t n, float* dst) {
+  const std::int64_t n_pad = ceil_div(n, kNR) * kNR;
+  for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
+    pack_b(b, trans, ldb, p0, std::min(kKC, k - p0), 0, n, dst + p0 * n_pad);
   }
 }
 
@@ -286,6 +317,92 @@ template <typename Vec, std::int64_t kRows>
 void block_kernel(const Block& blk) { block_tiles<Vec4f, kMR / 4>(blk); }
 #endif
 
+/// One depth block of the transposed-A sweep over a task's rows: element
+/// (i, p) of op(A) is a[p * lda + i], a ragged last tile is read from tail
+/// (packed as kc rows of kTR), b is one packed B panel (kc rows of kNR) and
+/// acc holds the rows' running sums, kNR per row.
+struct Sweep {
+  const float* a;
+  std::int64_t lda;
+  const float* tail;
+  const float* b;
+  float* acc;
+  std::int64_t rows;
+  std::int64_t kc;
+};
+
+/// acc[i, :] += sum_p op(A)[i, p] * B[p, :] over every kTR-row tile, one
+/// depth chunk of kPC at a time: each chunk sweeps all tiles, so kPC rows
+/// of A^T stream side by side from end to end, and a tile's sums go back
+/// to acc between chunks. A stored sum is the same float the registers
+/// held, so each element still gets one p-sequential chain per depth
+/// block, exactly as in block_tiles, whatever kRows and the vector width.
+template <typename Vec, std::int64_t kRows>
+[[gnu::always_inline]] inline void sweep_tiles(const Sweep& s) {
+  static_assert(kTR % kRows == 0);
+  constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
+  constexpr std::size_t kParts = static_cast<std::size_t>(kNR) / kLanes;
+  for (std::int64_t pc = 0; pc < s.kc; pc += kPC) {
+    const std::int64_t depth = std::min(kPC, s.kc - pc);
+    for (std::int64_t it = 0; it < s.rows; it += kTR) {
+      const bool packed = it + kTR > s.rows;
+      const float* tile_a = packed ? s.tail + pc * kTR : s.a + pc * s.lda + it;
+      const std::int64_t cs = packed ? kTR : s.lda;
+      for (std::int64_t h = 0; h < kTR; h += kRows) {
+        float* sums = s.acc + (it + h) * kNR;
+        Vec acc[static_cast<std::size_t>(kRows)][kParts];
+#pragma GCC unroll 16
+        for (std::int64_t i = 0; i < kRows; ++i) {
+#pragma GCC unroll 4
+          for (std::size_t q = 0; q < kParts; ++q) {
+            std::memcpy(&acc[i][q], sums + i * kNR + q * kLanes, sizeof(Vec));
+          }
+        }
+        const float* ap = tile_a + h;
+        const float* bp = s.b + pc * kNR;
+        for (std::int64_t p = 0; p < depth; ++p) {
+          Vec bv[kParts];
+#pragma GCC unroll 4
+          for (std::size_t q = 0; q < kParts; ++q) {
+            std::memcpy(&bv[q], bp + q * kLanes, sizeof(Vec));
+          }
+#pragma GCC unroll 16
+          for (std::int64_t i = 0; i < kRows; ++i) {
+            const float av = ap[i];
+#pragma GCC unroll 4
+            for (std::size_t q = 0; q < kParts; ++q) acc[i][q] += av * bv[q];
+          }
+          ap += cs;
+          bp += kNR;
+        }
+#pragma GCC unroll 16
+        for (std::int64_t i = 0; i < kRows; ++i) {
+#pragma GCC unroll 4
+          for (std::size_t q = 0; q < kParts; ++q) {
+            std::memcpy(sums + i * kNR + q * kLanes, &acc[i][q], sizeof(Vec));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The sweep tile is kTR = 16 rows: 16 zmm sums under v4, taken by v3 in
+// passes of 4 rows (8 ymm) and by default/SSE in passes of 2 rows (8 xmm).
+#if defined(EDGETRAIN_KERNEL_VERSIONS)
+[[gnu::target("arch=x86-64-v4")]] void sweep_kernel(const Sweep& s) {
+  sweep_tiles<Vec16f, kTR>(s);
+}
+[[gnu::target("arch=x86-64-v3")]] void sweep_kernel(const Sweep& s) {
+  sweep_tiles<Vec8f, kTR / 4>(s);
+}
+[[gnu::target("default")]] void sweep_kernel(const Sweep& s) {
+  sweep_tiles<Vec4f, kTR / 8>(s);
+}
+#else
+void sweep_kernel(const Sweep& s) { sweep_tiles<Vec4f, kTR / 8>(s); }
+#endif
+
 /// C *= beta for the degenerate k == 0 / alpha == 0 cases.
 void scale_c(float* c, std::int64_t m, std::int64_t n, float beta) {
   if (beta == 1.0F) return;
@@ -301,6 +418,46 @@ void scale_c(float* c, std::int64_t m, std::int64_t n, float beta) {
   });
 }
 
+/// Shape class 2: C = alpha * op(A) op(B) + beta * C with A transposed
+/// (fp32, read in place) and n <= kNR. Every task sums its rows' depth
+/// block into L2 scratch that starts from exactly zero, then folds it into
+/// C as apply_tile does for any tile: the same arithmetic per element as
+/// block_tiles, in another visiting order.
+template <typename TB>
+void gemm_sweep(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                const float* a, const TB* b, bool trans_b, std::int64_t ldb,
+                float beta, float* c) {
+  Workspace& ws = Workspace::tls();
+  const WorkspaceScope scope(ws);
+  float* packed_b = ws.alloc(k * kNR);
+  pack_b_all(b, trans_b, ldb, k, n, packed_b);
+  parallel_for(0, ceil_div(m, kTR), 1, [&](std::int64_t t0, std::int64_t t1) {
+    Workspace& task_ws = Workspace::tls();
+    const WorkspaceScope task_scope(task_ws);
+    const std::int64_t i0 = t0 * kTR;
+    const std::int64_t rows = std::min(m, t1 * kTR) - i0;
+    const std::int64_t full = rows / kTR * kTR;
+    const std::int64_t sums = (t1 - t0) * kTR * kNR;
+    float* acc = task_ws.alloc(sums);
+    float* tail = full < rows ? task_ws.alloc(kKC * kTR) : nullptr;
+    for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
+      const std::int64_t kc = std::min(kKC, k - p0);
+      if (tail != nullptr) {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const float* src = a + (p0 + p) * m + i0 + full;
+          for (std::int64_t r = 0; r < kTR; ++r) {
+            tail[p * kTR + r] = r < rows - full ? src[r] : 0.0F;
+          }
+        }
+      }
+      std::fill_n(acc, sums, 0.0F);
+      sweep_kernel(
+          Sweep{a + p0 * m + i0, m, tail, packed_b + p0 * kNR, acc, rows, kc});
+      apply_tile(acc, c + i0 * n, n, rows, n, alpha, p0 == 0 ? beta : 1.0F);
+    }
+  });
+}
+
 /// Shared blocked driver: fp32 and bf16 gemm differ only in the element
 /// type the packers widen from, so the task grid, workspace use and
 /// accumulation order -- hence the determinism guarantees -- are one piece
@@ -312,13 +469,31 @@ void gemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   // Row-major: A is m x k (lda=k) or, transposed, stored k x m (lda=m).
   const std::int64_t lda = trans_a ? m : k;
   const std::int64_t ldb = trans_b ? k : n;
+  constexpr bool kFloatA = std::is_same_v<TA, float>;
+
+  // The shape classes of the header comment; anything else takes the
+  // plain (M-block x N-block) grid. Whatever op(B) a class shares must fit
+  // beside the streamed operand in L2.
+  const std::int64_t n_pad = ceil_div(n, kNR) * kNR;
+  const bool tall = m >= kMC;
+  const bool b_fits = k * n_pad <= kL2Floats;
+  if constexpr (kFloatA) {
+    if (tall && trans_a && n <= kNR && (m + k) * kNR <= kL2Floats) {
+      gemm_sweep(m, n, k, alpha, a, b, trans_b, ldb, beta, c);
+      return;
+    }
+  }
+  const bool depth_inner = tall && !trans_a && n <= kNarrowN && b_fits;
+  const bool wide_c = tall && k <= kKC && n > kNC && 4 * k <= m && b_fits;
+  const bool shared_b = depth_inner || wide_c;
+  const std::int64_t nc_max = shared_b ? n : kNC;
 
   // 2-D task grid over (M-block x N-block). When the natural kMC blocking
   // yields fewer tasks than workers, M-blocks shrink (to a kMR multiple) so
   // every worker gets a disjoint slab of C. The grid depends only on the
   // shapes and the pool size, and each C tile has a single writer with a
   // fixed k-accumulation order: results are deterministic.
-  const std::int64_t n_blocks = ceil_div(n, kNC);
+  const std::int64_t n_blocks = ceil_div(n, nc_max);
   const auto threads = static_cast<std::int64_t>(ThreadPool::global().size());
   std::int64_t m_blocks = ceil_div(m, kMC);
   const std::int64_t max_m_blocks = ceil_div(m, kMR);
@@ -329,39 +504,56 @@ void gemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   m_blocks = ceil_div(m, mc_max);
 
   // A single B panel means each A panel feeds exactly one tile, so packing
-  // A is a pure extra copy: fp32 A is read in place instead. A block with a
-  // ragged last row panel, which the kernel would read past, is packed.
-  const bool a_in_place = std::is_same_v<TA, float> && n <= kNR;
+  // A is a pure extra copy: fp32 A is read in place instead, as it is when
+  // a row panel runs over the whole depth. A ragged last row panel, which
+  // the kernel would read past, is packed.
+  const bool a_in_place = kFloatA && (n <= kNR || depth_inner);
+  const std::int64_t pass_rows = depth_inner ? kMR : mc_max;
+
+  Workspace& ws = Workspace::tls();
+  const WorkspaceScope scope(ws);
+  float* all_b = nullptr;
+  if (shared_b) {
+    all_b = ws.alloc(k * n_pad);
+    pack_b_all(b, trans_b, ldb, k, n, all_b);
+  }
 
   parallel_for(0, m_blocks * n_blocks, 1, [&](std::int64_t t0,
                                               std::int64_t t1) {
-    Workspace& ws = Workspace::tls();
-    const WorkspaceScope scope(ws);
-    float* packed_a = ws.alloc(mc_max * kKC);
-    float* packed_b = ws.alloc(kKC * kNC);
+    Workspace& task_ws = Workspace::tls();
+    const WorkspaceScope task_scope(task_ws);
+    float* packed_a = task_ws.alloc(pass_rows * kKC);
+    float* packed_b = shared_b ? nullptr : task_ws.alloc(kKC * kNC);
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t i0 = (t % m_blocks) * mc_max;
-      const std::int64_t j0 = (t / m_blocks) * kNC;
-      Block blk{};
-      blk.c = c + i0 * n + j0;
-      blk.ldc = n;
-      blk.mc = std::min(mc_max, m - i0);
-      blk.nc = std::min(kNC, n - j0);
-      blk.alpha = alpha;
-      const bool in_place = a_in_place && blk.mc % kMR == 0;
-      for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
-        blk.kc = std::min(kKC, k - p0);
-        blk.beta = p0 == 0 ? beta : 1.0F;
-        if (!in_place) {
-          pack_a(a, trans_a, lda, i0, blk.mc, p0, blk.kc, packed_a);
-          blk.a = APanels{packed_a, 1, kMR, blk.kc};
-        } else if constexpr (std::is_same_v<TA, float>) {
-          blk.a = trans_a ? APanels{a + p0 * lda + i0, 1, lda, 1}
-                          : APanels{a + i0 * lda + p0, lda, 1, lda};
+      const std::int64_t j0 = (t / m_blocks) * nc_max;
+      const std::int64_t mc = std::min(mc_max, m - i0);
+      for (std::int64_t ir = i0; ir < i0 + mc; ir += pass_rows) {
+        Block blk{};
+        blk.c = c + ir * n + j0;
+        blk.ldc = n;
+        blk.mc = std::min(pass_rows, i0 + mc - ir);
+        blk.nc = std::min(nc_max, n - j0);
+        blk.alpha = alpha;
+        const bool in_place = a_in_place && blk.mc % kMR == 0;
+        for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
+          blk.kc = std::min(kKC, k - p0);
+          blk.beta = p0 == 0 ? beta : 1.0F;
+          if (!in_place) {
+            pack_a(a, trans_a, lda, ir, blk.mc, p0, blk.kc, packed_a);
+            blk.a = APanels{packed_a, 1, kMR, blk.kc};
+          } else if constexpr (kFloatA) {
+            blk.a = trans_a ? APanels{a + p0 * lda + ir, 1, lda, 1}
+                            : APanels{a + ir * lda + p0, lda, 1, lda};
+          }
+          if (shared_b) {
+            blk.b = all_b + p0 * n_pad;
+          } else {
+            pack_b(b, trans_b, ldb, p0, blk.kc, j0, blk.nc, packed_b);
+            blk.b = packed_b;
+          }
+          block_kernel(blk);
         }
-        pack_b(b, trans_b, ldb, p0, blk.kc, j0, blk.nc, packed_b);
-        blk.b = packed_b;
-        block_kernel(blk);
       }
     }
   });
@@ -651,7 +843,12 @@ Tensor relu_backward(const Tensor& grad_y, const Tensor& y) {
   const std::int64_t n = y.numel();
   EDGETRAIN_GUARD_DISJOINT("relu_backward", {gy, n}, {yp, n}, {gp, n});
   parallel_for(0, n, 1 << 16, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) gp[i] = yp[i] > 0.0F ? gy[i] : 0.0F;
+    // gy[i] is loaded whether or not it is kept: a load under the condition
+    // keeps the loop scalar, an unconditional one makes it a vector select.
+    for (std::int64_t i = b; i < e; ++i) {
+      const float g = gy[i];
+      gp[i] = yp[i] > 0.0F ? g : 0.0F;
+    }
   });
   return gx;
 }

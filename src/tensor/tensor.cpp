@@ -1,10 +1,13 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+
+#include "tensor/guards.hpp"
 
 namespace edgetrain {
 
@@ -22,8 +25,14 @@ std::string Shape::to_string() const {
 namespace detail {
 
 Storage::Storage(std::size_t numel)
-    : data_(std::make_unique<float[]>(numel)), numel_(numel) {
+    : data_(std::make_unique_for_overwrite<float[]>(numel)), numel_(numel) {
   MemoryTracker::instance().on_alloc(numel_ * sizeof(float));
+  // Fresh storage is uninitialised, like fresh Workspace scratch: poison it
+  // so a kernel that reads before writing produces NaNs, not stale heap.
+  // Not through guards::paint, whose fill counter tallies released buffers.
+  if constexpr (guards::kEnabled) {
+    std::fill_n(data_.get(), numel_, std::bit_cast<float>(guards::kPoisonBits));
+  }
 }
 
 Storage::~Storage() {

@@ -19,6 +19,7 @@
 
 #include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/tensor.hpp"
 
 namespace edgetrain::ops {
@@ -106,36 +107,43 @@ float mul_rounded(float a, float b) {
   return product;
 }
 
-/// The kernel's arithmetic spelled out per element: depth in kKC = 256
-/// blocks, each block summed p-sequentially from zero (with one fused
-/// multiply-add per step, or a rounded multiply then add), then folded into
-/// C as alpha * acc + beta * c, where beta is 1 after the first block.
-void blocked_reference(bool ta, bool tb, std::int64_t m, std::int64_t n,
-                       std::int64_t k, float alpha, const float* a,
-                       const float* b, float beta, float* c, bool fused) {
+/// The kernel's arithmetic spelled out for element (i, j): depth in
+/// kKC = 256 blocks, each block summed p-sequentially from zero (with one
+/// fused multiply-add per step, or a rounded multiply then add). Returns
+/// the block sums; fold() turns them into the element of C.
+std::vector<float> block_sums(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                              std::int64_t k, const float* a, const float* b,
+                              std::int64_t i, std::int64_t j, bool fused) {
   constexpr std::int64_t kKC = 256;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      float& out = c[i * n + j];
-      for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
-        float acc = 0.0F;
-        for (std::int64_t p = p0; p < std::min(k, p0 + kKC); ++p) {
-          const float av = ta ? a[p * m + i] : a[i * k + p];
-          const float bv = tb ? b[j * k + p] : b[p * n + j];
-          acc = fused ? std::fma(av, bv, acc) : acc + mul_rounded(av, bv);
-        }
-        const float scaled = mul_rounded(alpha, acc);
-        const float fold = p0 == 0 ? beta : 1.0F;
-        if (fold == 0.0F) {
-          out = scaled;
-        } else if (fold == 1.0F) {
-          out = out + scaled;
-        } else {
-          out = scaled + mul_rounded(fold, out);
-        }
-      }
+  std::vector<float> sums;
+  for (std::int64_t p0 = 0; p0 < k; p0 += kKC) {
+    float acc = 0.0F;
+    for (std::int64_t p = p0; p < std::min(k, p0 + kKC); ++p) {
+      const float av = ta ? a[p * m + i] : a[i * k + p];
+      const float bv = tb ? b[j * k + p] : b[p * n + j];
+      acc = fused ? std::fma(av, bv, acc) : acc + mul_rounded(av, bv);
+    }
+    sums.push_back(acc);
+  }
+  return sums;
+}
+
+/// Folds the block sums into C's old value c as alpha * acc + beta * c,
+/// where beta is 1 after the first block.
+float fold(const std::vector<float>& sums, float alpha, float beta, float c) {
+  float out = c;
+  for (std::size_t blk = 0; blk < sums.size(); ++blk) {
+    const float scaled = mul_rounded(alpha, sums[blk]);
+    const float f = blk == 0 ? beta : 1.0F;
+    if (f == 0.0F) {
+      out = scaled;
+    } else if (f == 1.0F) {
+      out = out + scaled;
+    } else {
+      out = scaled + mul_rounded(f, out);
     }
   }
+  return out;
 }
 
 std::uint32_t bits(float v) {
@@ -144,18 +152,44 @@ std::uint32_t bits(float v) {
   return u;
 }
 
-// Shapes on the kMR = 8 tile edges, across kKC = 256 block boundaries, and
-// the skinny batch-1 ResNet-18 conv GEMMs: N = 16 / 49 (stage 4 / stage 3
-// forward and grad_x), K = 16 / 49 (their grad_w), and M = 4608 rows of a
-// transposed A (stage 4 grad_x, K cut to 64 to keep the reference cheap).
+// Shapes on the kMR = 8 / kTR = 16 tile edges, across kKC = 256 block
+// boundaries, and the batch-1 ResNet-18 conv GEMMs. Each shape class of
+// the kernel (a tall op(A), m >= 120, with a narrow N, one B panel under a
+// transposed A, or a single depth block under a wide C) is hit with M
+// multiples of 8 and 16 and M that is neither, so the packed fallbacks
+// run, N in {1, 15, 16, 17, 49, 64, 65} and K in {16, 255, 256, 257, 4608}.
+// Under the other transposes the same shapes take the other paths.
 const std::vector<GemmShape>& exact_shapes() {
   static const std::vector<GemmShape> kShapes = {
-      {7, 16, 9},     {8, 16, 9},    {9, 16, 9},    {15, 15, 31},
-      {16, 16, 257},  {17, 17, 513}, {24, 32, 40},  {40, 16, 600},
-      {64, 49, 300},  {33, 49, 49},  {64, 200, 16}, {48, 300, 49},
+      {7, 16, 9},     {8, 16, 9},    {9, 16, 9},     {15, 15, 31},
+      {16, 16, 257},  {17, 17, 513}, {24, 32, 40},   {40, 16, 600},
+      {64, 49, 300},  {33, 49, 49},  {64, 200, 16},  {48, 300, 49},
       {4608, 16, 64}, {100, 1, 300}, {3, 10, 512},
+      // Stage 4: forward, downsample forward, grad_x, downsample grad_x,
+      // grad_w; stage 3: forward, grad_x, grad_w.
+      {512, 16, 4608}, {512, 16, 256}, {4608, 16, 512}, {256, 16, 512},
+      {512, 4608, 16}, {256, 49, 2304}, {2304, 49, 256}, {256, 2304, 49},
+      // Ragged M around the narrow-N and transposed-sweep tiles.
+      {125, 1, 257},  {131, 15, 255}, {137, 17, 16},  {123, 64, 256},
+      {129, 65, 300}, {1157, 16, 257}, {130, 1, 255}, {135, 15, 16},
+      {127, 16, 4608}, {121, 49, 4608},
+      // Wide C over one depth block, and just past its edges.
+      {123, 257, 16}, {130, 300, 17}, {1030, 264, 256}, {125, 1000, 1},
+      {121, 513, 257},
   };
   return kShapes;
+}
+
+/// Rows whose elements are compared: all of them up to 2^23 multiply-adds,
+/// otherwise every 7th row (each residue of 8 and 16 in turn) and the
+/// last 20, which hold the ragged tiles.
+std::vector<std::int64_t> checked_rows(const GemmShape& s) {
+  std::vector<std::int64_t> rows;
+  const bool all = s.m * s.n * s.k <= (std::int64_t{1} << 23);
+  for (std::int64_t i = 0; i < s.m; ++i) {
+    if (all || i % 7 == 0 || i >= s.m - 20) rows.push_back(i);
+  }
+  return rows;
 }
 
 class BlockedGemmExactTest
@@ -182,41 +216,55 @@ TEST_P(BlockedGemmExactTest, BitExactToBlockedSequentialReference) {
     Tensor b_wide = Tensor::empty(b.shape());
     convert::bf16_to_fp32(a16.data(), a_wide.data(), a.numel());
     convert::bf16_to_fp32(b16.data(), b_wide.data(), b.numel());
+    const std::vector<std::int64_t> rows = checked_rows(s);
     for (const bool bf16 : {false, true}) {
       const float* ra = bf16 ? a_wide.data() : a.data();
       const float* rb = bf16 ? b_wide.data() : b.data();
-      for (const float alpha : kAlphas) {
-        for (const float beta : kBetas) {
-          Tensor c = c0.clone();
-          Tensor fused = c0.clone();
-          Tensor unfused = c0.clone();
-          if (bf16) {
-            gemm_bf16(ta, tb, s.m, s.n, s.k, alpha, a16.data(), b16.data(),
-                      beta, c.data());
-          } else {
-            gemm(ta, tb, s.m, s.n, s.k, alpha, a.data(), b.data(), beta,
-                 c.data());
-          }
-          blocked_reference(ta, tb, s.m, s.n, s.k, alpha, ra, rb, beta,
-                            fused.data(), true);
-          blocked_reference(ta, tb, s.m, s.n, s.k, alpha, ra, rb, beta,
-                            unfused.data(), false);
-          std::int64_t mismatches = 0;
-          for (std::int64_t e = 0; e < c.numel(); ++e) {
-            const std::uint32_t got = bits(c.data()[e]);
-            if (got != bits(fused.data()[e]) &&
-                got != bits(unfused.data()[e])) {
-              ++mismatches;
+      std::vector<std::vector<float>> fused_sums;
+      std::vector<std::vector<float>> plain_sums;
+      for (const std::int64_t i : rows) {
+        for (std::int64_t j = 0; j < s.n; ++j) {
+          fused_sums.push_back(
+              block_sums(ta, tb, s.m, s.n, s.k, ra, rb, i, j, true));
+          plain_sums.push_back(
+              block_sums(ta, tb, s.m, s.n, s.k, ra, rb, i, j, false));
+        }
+      }
+      // 0 is the default pool, one thread per core.
+      for (const unsigned threads : {1U, 3U, 0U}) {
+        ThreadPool::set_global_threads(threads);
+        for (const float alpha : kAlphas) {
+          for (const float beta : kBetas) {
+            Tensor c = c0.clone();
+            if (bf16) {
+              gemm_bf16(ta, tb, s.m, s.n, s.k, alpha, a16.data(), b16.data(),
+                        beta, c.data());
+            } else {
+              gemm(ta, tb, s.m, s.n, s.k, alpha, a.data(), b.data(), beta,
+                   c.data());
             }
+            std::int64_t mismatches = 0;
+            std::size_t e = 0;
+            for (const std::int64_t i : rows) {
+              for (std::int64_t j = 0; j < s.n; ++j, ++e) {
+                const float old = c0.data()[i * s.n + j];
+                const std::uint32_t got = bits(c.data()[i * s.n + j]);
+                if (got != bits(fold(fused_sums[e], alpha, beta, old)) &&
+                    got != bits(fold(plain_sums[e], alpha, beta, old))) {
+                  ++mismatches;
+                }
+              }
+            }
+            EXPECT_EQ(mismatches, 0)
+                << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta=" << ta
+                << " tb=" << tb << " alpha=" << alpha << " beta=" << beta
+                << " bf16=" << bf16 << " threads=" << threads;
           }
-          EXPECT_EQ(mismatches, 0)
-              << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta=" << ta
-              << " tb=" << tb << " alpha=" << alpha << " beta=" << beta
-              << " bf16=" << bf16;
         }
       }
     }
   }
+  ThreadPool::set_global_threads(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransposes, BlockedGemmExactTest,
@@ -242,24 +290,43 @@ TEST(BlockedGemm, DeepReductionCrossesMultipleKcBlocks) {
 
 TEST(BlockedGemm, BitForBitDeterministic) {
   // Every C tile has one writer with a fixed k order, so repeated runs must
-  // agree bitwise, not just within tolerance.
+  // agree bitwise, not just within tolerance, at every pool size: on the
+  // plain grid and on each shape class (narrow N, the transposed sweep
+  // with and without a ragged tile, a wide C over one depth block).
+  struct Case {
+    bool ta;
+    bool tb;
+    GemmShape shape;
+  };
+  const Case kCases[] = {
+      {false, false, {131, 261, 300}},  {false, false, {512, 16, 4608}},
+      {false, false, {250, 49, 700}},   {true, false, {4608, 16, 512}},
+      {true, true, {1157, 15, 300}},    {false, true, {512, 4608, 16}},
+      {true, true, {1030, 264, 256}},
+  };
   std::mt19937 rng(31);
-  const std::int64_t m = 131;
-  const std::int64_t n = 261;
-  const std::int64_t k = 300;
-  Tensor a = Tensor::randn(Shape{m, k}, rng);
-  Tensor b = Tensor::randn(Shape{k, n}, rng);
-  Tensor first = Tensor::zeros(Shape{m, n});
-  gemm(false, false, m, n, k, 1.0F, a.data(), b.data(), 0.0F, first.data());
-  for (int run = 0; run < 3; ++run) {
-    Tensor again = Tensor::zeros(Shape{m, n});
-    gemm(false, false, m, n, k, 1.0F, a.data(), b.data(), 0.0F,
-         again.data());
-    EXPECT_EQ(0, std::memcmp(first.data(), again.data(),
-                             static_cast<std::size_t>(first.numel()) *
-                                 sizeof(float)))
-        << "run " << run;
+  for (const Case& cs : kCases) {
+    const GemmShape& s = cs.shape;
+    Tensor a = Tensor::randn(cs.ta ? Shape{s.k, s.m} : Shape{s.m, s.k}, rng);
+    Tensor b = Tensor::randn(cs.tb ? Shape{s.n, s.k} : Shape{s.k, s.n}, rng);
+    Tensor first;
+    for (const unsigned threads : {1U, 2U, 3U, 4U, 1U}) {
+      ThreadPool::set_global_threads(threads);
+      Tensor again = Tensor::zeros(Shape{s.m, s.n});
+      gemm(cs.ta, cs.tb, s.m, s.n, s.k, 1.0F, a.data(), b.data(), 0.0F,
+           again.data());
+      if (!first.defined()) {
+        first = again;
+        continue;
+      }
+      EXPECT_EQ(0, std::memcmp(first.data(), again.data(),
+                               static_cast<std::size_t>(first.numel()) *
+                                   sizeof(float)))
+          << "m=" << s.m << " n=" << s.n << " k=" << s.k << " ta=" << cs.ta
+          << " tb=" << cs.tb << " threads=" << threads;
+    }
   }
+  ThreadPool::set_global_threads(0);
 }
 
 TEST(BlockedGemm, DegenerateKScalesCOnly) {

@@ -85,6 +85,16 @@ TEST_F(GuardsTest, CanaryCatchesOffByOneOnRoundedSpans) {
   EXPECT_NO_THROW(ws.release());
 }
 
+TEST_F(GuardsTest, FreshTensorsArePoisoned) {
+  // Tensor::empty is documented uninitialised: a reader that runs before
+  // any writer must see NaNs, not zeros it could silently accumulate into.
+  const Tensor t = Tensor::empty(Shape{3, 7});
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    EXPECT_TRUE(guards::is_poison(t.data()[i])) << "element " << i;
+  }
+  EXPECT_EQ(Tensor::zeros(Shape{5}).data()[4], 0.0F);
+}
+
 TEST_F(GuardsTest, RewindPoisonsReleasedSpans) {
   Workspace ws;
   const Workspace::Marker marker = ws.mark();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
@@ -220,6 +222,35 @@ TEST(Relu, ForwardAndBackward) {
   EXPECT_FLOAT_EQ(gx.at(0), 0.0F);
   EXPECT_FLOAT_EQ(gx.at(1), 0.0F);
   EXPECT_FLOAT_EQ(gx.at(2), 5.0F);
+}
+
+TEST(Relu, BackwardMatchesNaiveOnSignedZeroNanAndInf) {
+  // Every pairing of special values for y and grad_y, at a length with a
+  // vector remainder; the result must match the scalar select bit for bit.
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> kValues = {
+      -0.0F, 0.0F, kNan, -kNan, kInf, -kInf, 1.5F, -2.25F,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min()};
+  const auto count = static_cast<std::int64_t>(kValues.size());
+  const std::int64_t n = count * count * 3 + 7;
+  Tensor y = Tensor::empty(Shape{n});
+  Tensor gy = Tensor::empty(Shape{n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    y.data()[i] = kValues[static_cast<std::size_t>(i % count)];
+    gy.data()[i] = kValues[static_cast<std::size_t>((i / count) % count)];
+  }
+  const Tensor gx = relu_backward(gy, y);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float want = y.data()[i] > 0.0F ? gy.data()[i] : 0.0F;
+    std::uint32_t got_bits = 0;
+    std::uint32_t want_bits = 0;
+    std::memcpy(&got_bits, gx.data() + i, sizeof got_bits);
+    std::memcpy(&want_bits, &want, sizeof want_bits);
+    EXPECT_EQ(got_bits, want_bits)
+        << "y=" << y.data()[i] << " gy=" << gy.data()[i] << " at " << i;
+  }
 }
 
 TEST(MaxPool, ForwardPicksMaxAndBackwardRoutes) {
