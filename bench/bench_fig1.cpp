@@ -8,10 +8,11 @@
 // memory fixed + (s+1)*k*M_A is printed. The 2 GB Waggle line marks
 // feasibility; the "fits 2GB at rho" row gives each curve's crossing point.
 //
-// Flags: --hetero  additionally solve the *heterogeneous* block-level chain
-//                  of each real ResNet (stem/blocks/head with true per-step
-//                  costs) and report its rho at the same memory, validating
-//                  the homogenised LinearResNet model.
+// Flags: --hetero  additionally solve the *heterogeneous* executable chain
+//                  of each real ResNet (one step per stem/head op and per
+//                  residual block, with true per-step costs and exact
+//                  boundary sizes) and report its rho at the same memory,
+//                  validating the homogenised LinearResNet model.
 //        --compress  add the slot-codec axis: re-solve the hardest panel's
 //                  peak-vs-rho curves per codec (none/lossless/fp16/bitmap/
 //                  bitmap-fp16), report the 2 GB crossing per codec, and time
@@ -103,8 +104,11 @@ void run_panel(const Panel& panel,
   std::printf("   (smallest rho fitting 2 GB)\n\n");
 }
 
+/// Budget resolution of the byte-budget DP in run_hetero.
+constexpr int kBudgetUnits = 1024;
+
 void run_hetero(const Panel& panel) {
-  std::printf("--- heterogeneous block-level chains (%s) ---\n", panel.name);
+  std::printf("--- heterogeneous executable chains (%s) ---\n", panel.name);
   std::printf("%-10s %-10s %-14s %-14s %-14s %-12s\n", "model", "steps",
               "rho@mem(hom)", "rho(hetero)", "rho(bytes)", "mem MB");
   for (const models::ResNetVariant v : models::all_resnet_variants()) {
@@ -116,27 +120,23 @@ void run_hetero(const Panel& panel) {
     const core::MemoryPlanner planner(linear.to_chain_spec());
     const core::PlanPoint plan = planner.plan_for_rho(1.5);
 
-    // Heterogeneous block chain with true per-step forward costs.
+    // The executable chain (one step per stem/head op and per residual
+    // block) with its true per-step forward costs.
     const std::vector<double> costs =
         spec.chain_step_forward_costs(panel.image, panel.batch);
     const int l = static_cast<int>(costs.size());
     const core::hetero::HeteroSolver solver(costs, l - 1);
-    const auto act_per_block =
-        spec.chain_step_activation_elems(panel.image, panel.batch);
 
-    // Boundary i is the output of chain step i-1; approximate its bytes as
-    // that block's activation total over its op count (~one tensor of ~4).
+    // Boundary i is the output of chain step i-1, exactly.
+    const std::vector<std::int64_t> out_elems =
+        spec.chain_step_output_elems(panel.image, panel.batch);
     std::vector<double> boundary_bytes;
-    double max_boundary = 0.0;
-    double min_boundary = 1e300;
-    for (int i = 1; i < l; ++i) {
-      // elems / ~4 ops per block * 4 bytes per element == elems, numerically.
-      const double bytes =
-          static_cast<double>(act_per_block[static_cast<std::size_t>(i - 1)]);
-      boundary_bytes.push_back(bytes);
-      max_boundary = std::max(max_boundary, bytes);
-      min_boundary = std::min(min_boundary, bytes);
+    for (std::size_t j = 0; j + 1 < out_elems.size(); ++j) {
+      boundary_bytes.push_back(static_cast<double>(out_elems[j]) *
+                               sizeof(float));
     }
+    const double max_boundary =
+        *std::max_element(boundary_bytes.begin(), boundary_bytes.end());
     const double act_budget = plan.peak_bytes - linear.fixed_bytes;
 
     // Uniform slots must be provisioned for the worst-case boundary.
@@ -144,22 +144,22 @@ void run_hetero(const Panel& panel) {
         static_cast<int>(act_budget / max_boundary) - 1, 0, l - 1);
     const double hetero_rho = solver.recompute_factor(block_slots);
 
-    // Byte-budget DP spends the same bytes against the true sizes.
+    // Byte-budget DP spends the same bytes against the true sizes. The
+    // boundaries span ~4 orders of magnitude (the pooled head state is a
+    // few KiB), so one unit is 1/kBudgetUnits of the activation budget,
+    // which bounds the DP table; each state is rounded up to whole units,
+    // so the plan never exceeds the budget. One worst-case boundary is
+    // held back for the live tensor.
+    const double unit = act_budget / kBudgetUnits;
     std::vector<int> state_units;
     for (const double bytes : boundary_bytes) {
-      state_units.push_back(
-          std::max(1, static_cast<int>(bytes / min_boundary + 0.5)));
+      state_units.push_back(static_cast<int>(std::ceil(bytes / unit)));
     }
     const int unit_budget = std::max(
-        0, static_cast<int>(act_budget / min_boundary) -
-               static_cast<int>(max_boundary / min_boundary));
-    double byte_rho = hetero_rho;
-    if (static_cast<std::size_t>(l + 1) * (l + 1) * (unit_budget + 1) <
-        (96ULL << 20)) {
-      const core::hetero::ByteBudgetSolver byte_solver(costs, state_units,
-                                                       unit_budget);
-      byte_rho = byte_solver.recompute_factor();
-    }
+        0, kBudgetUnits - static_cast<int>(std::ceil(max_boundary / unit)));
+    const core::hetero::ByteBudgetSolver byte_solver(costs, state_units,
+                                                     unit_budget);
+    const double byte_rho = byte_solver.recompute_factor();
     std::printf("%-10s %-10d %-14.3f %-14.3f %-14.3f %-12.1f\n",
                 spec.name().c_str(), l, plan.achieved_rho, hetero_rho,
                 byte_rho, plan.peak_bytes / kMiB);

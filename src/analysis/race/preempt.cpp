@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include "tensor/splitmix64.hpp"
+
 namespace edgetrain::analysis::preempt {
 
 namespace {
@@ -19,13 +21,6 @@ std::atomic<std::uint64_t>& seed_slot() {
 std::atomic<std::uint64_t> g_decisions{0};
 std::atomic<std::uint64_t> g_yields{0};
 std::atomic<std::uint64_t> g_fingerprint{0};
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 

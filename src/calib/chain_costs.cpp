@@ -158,14 +158,16 @@ ChainCosts predict_resnet(const models::ResNetSpec& spec, int image_size,
   costs.forward_us.reserve(l);
   costs.backward_us.reserve(l);
   for (std::size_t i = 0; i < l; ++i) {
-    // MACs -> flops (x2), priced at conv throughput: every step of a
-    // ResNet is conv-dominated except the (negligible) head linear.
+    // MACs -> flops (x2), priced at conv throughput for every step, the
+    // element-wise BN/ReLU/pool steps included.
     const double us = scale * model.conv_us(2.0 * macs[i], threads);
     costs.forward_us.push_back(us);
     // Backward of a conv is the dX + dW GEMM pair: 2x the forward work.
     costs.backward_us.push_back(2.0 * us);
   }
-  costs.input_bytes = 3.0 * static_cast<double>(image_size) *
+  // The stem conv's input channels are the network's.
+  costs.input_bytes = static_cast<double>(spec.ops().front().in_channels) *
+                      static_cast<double>(image_size) *
                       static_cast<double>(image_size) *
                       static_cast<double>(batch) * sizeof(float);
   costs.output_bytes =

@@ -83,10 +83,13 @@ struct MeasureOptions {
                                        const Tensor& input,
                                        const MeasureOptions& options = {});
 
-/// Predicts a block-level ResNet chain's per-step costs from its analytic
-/// MAC counts through the fitted model: forward MACs at conv throughput,
-/// backward charged 2x forward (the dX + dW GEMM pair). Boundary bytes use
-/// the spec's per-step activation accounting.
+/// Predicts the per-step costs of the ResNet chain that build_resnet_chain
+/// builds from @p spec: one entry per chain step, so num_steps() equals the
+/// chain's size(), and the boundary and output bytes equal the sizes of its
+/// step outputs. Forward MACs are priced at conv throughput, backward at 2x
+/// forward (the dX + dW GEMM pair). The BN, ReLU and pooling steps are
+/// priced at the conv rate too (one MAC per element op), although they are
+/// memory-bound.
 ///
 /// @p precision prices the compute at the device's measured quantized GEMM
 /// rate (Bf16/Int8 probes; fp32 fallback when unmeasured): forward times

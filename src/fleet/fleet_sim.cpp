@@ -6,6 +6,7 @@
 #include "fleet/event_engine.hpp"
 #include "persist/crc32.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/splitmix64.hpp"
 
 namespace edgetrain::fleet {
 
@@ -20,7 +21,7 @@ double to_seconds(std::uint64_t us) {
 }
 
 double mix_uniform01(std::uint64_t& state) {
-  return (static_cast<double>(splitmix64(state) >> 11) + 1.0) *
+  return (static_cast<double>(splitmix64_next(state) >> 11) + 1.0) *
          (1.0 / 9007199254740992.0);
 }
 
@@ -127,7 +128,7 @@ FleetReport run_fleet(const FleetConfig& config, DeltaSink* sink,
       // partition layout, so trajectories survive re-partitioning.
       std::uint64_t mix =
           config.seed ^ (static_cast<std::uint64_t>(id) + 1) * 0x100000001B3ULL;
-      const std::uint64_t node_seed = splitmix64(mix);
+      const std::uint64_t node_seed = splitmix64_next(mix);
 
       NodeParams params = base;
       const auto& profile = *profiles[id % profiles.size()];

@@ -4,16 +4,9 @@
 #include <cmath>
 
 #include "persist/crc32.hpp"
+#include "tensor/splitmix64.hpp"
 
 namespace edgetrain::fleet {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 FleetNode::FleetNode(std::uint32_t id, const NodeParams& params,
                      std::uint64_t seed)
@@ -21,7 +14,7 @@ FleetNode::FleetNode(std::uint32_t id, const NodeParams& params,
 
 double FleetNode::uniform01() {
   // 53 mantissa bits, +1 so the result is in (0, 1] and log() never sees 0.
-  return (static_cast<double>(splitmix64(rng_state_) >> 11) + 1.0) *
+  return (static_cast<double>(splitmix64_next(rng_state_) >> 11) + 1.0) *
          (1.0 / 9007199254740992.0);
 }
 

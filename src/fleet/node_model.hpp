@@ -137,9 +137,4 @@ class FleetNode {
   std::uint64_t deltas_emitted_ = 0;
 };
 
-/// SplitMix64 step: the standard seed mixer (also used to derive per-node
-/// seeds from the fleet seed so adjacent node ids get uncorrelated
-/// streams).
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
-
 }  // namespace edgetrain::fleet

@@ -1,5 +1,6 @@
 #include "models/resnet.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/layers.hpp"
@@ -77,12 +78,12 @@ ResNetSpec ResNetSpec::make(ResNetVariant variant, int num_classes,
     ops.push_back({OpKind::ReLU, c, c, 0, 1, 0, step, false});
   };
 
-  // Stem (chain step 0).
-  conv(in_channels, 64, 7, 2, 3, false);
-  bn(64, false);
-  relu(64);
-  ops.push_back({OpKind::MaxPool, 64, 64, 3, 2, 1, step, false});
-  ++step;
+  // Stem and head ops are one chain step each; a residual block is one.
+  auto alone = [&](OpSpec op) { op.chain_step = step++; ops.push_back(op); };
+  alone({OpKind::Conv, in_channels, 64, 7, 2, 3});
+  alone({OpKind::BatchNorm, 64, 64});
+  alone({OpKind::ReLU, 64, 64});
+  alone({OpKind::MaxPool, 64, 64, 3, 2, 1});
 
   std::int64_t current = 64;  // channels entering the next block
   for (int stage = 0; stage < 4; ++stage) {
@@ -90,7 +91,6 @@ ResNetSpec ResNetSpec::make(ResNetVariant variant, int num_classes,
     const std::int64_t out = bottleneck ? width * 4 : width;
     for (int b = 0; b < blocks[static_cast<std::size_t>(stage)]; ++b) {
       const std::int64_t stride = (stage > 0 && b == 0) ? 2 : 1;
-      const bool project = stride != 1 || current != out;
       if (bottleneck) {
         conv(current, width, 1, 1, 0, false);
         bn(width, false);
@@ -107,7 +107,7 @@ ResNetSpec ResNetSpec::make(ResNetVariant variant, int num_classes,
         conv(width, width, 3, 1, 1, false);
         bn(width, false);
       }
-      if (project) {
+      if (stride != 1 || current != out) {  // projection shortcut
         conv(current, out, 1, stride, 0, true);
         bn(out, true);
       }
@@ -118,10 +118,8 @@ ResNetSpec ResNetSpec::make(ResNetVariant variant, int num_classes,
     }
   }
 
-  // Head (final chain step).
-  ops.push_back({OpKind::GlobalAvgPool, current, current, 0, 1, 0, step, false});
-  ops.push_back({OpKind::Linear, current, num_classes, 0, 1, 0, step, false});
-  ++step;
+  alone({OpKind::GlobalAvgPool, current, current});
+  alone({OpKind::Linear, current, num_classes});
   spec.num_chain_steps_ = step;
   return spec;
 }
@@ -147,54 +145,44 @@ std::int64_t ResNetSpec::param_count() const {
 }
 
 namespace {
-/// Replays op shapes, invoking visit(op, output_elems_per_sample).
+/// Replays op shapes on a square image: visit(op, output elems per sample).
 template <typename Visitor>
 void replay(const std::vector<OpSpec>& ops, int image_size, Visitor&& visit) {
-  std::int64_t h = image_size;
-  std::int64_t w = image_size;
-  std::int64_t h_entry = h;   // block-entry dims, for shortcut branches
-  std::int64_t w_entry = w;
-  std::int64_t hs = h;        // running dims on the shortcut branch
-  std::int64_t ws = w;
+  std::int64_t side = image_size;  // running side on the main branch
+  std::int64_t entry = side;       // block-entry side, for shortcut branches
+  std::int64_t shortcut = side;    // running side on the shortcut branch
   std::int32_t current_step = 0;
 
   for (const OpSpec& op : ops) {
     if (op.chain_step != current_step) {
       current_step = op.chain_step;
-      h_entry = h;
-      w_entry = w;
+      entry = side;
     }
     std::int64_t elems = 0;
     switch (op.kind) {
       case OpKind::Conv:
-      case OpKind::MaxPool: {
+      case OpKind::MaxPool:
         if (op.on_shortcut) {
-          hs = ops::conv_out_size(h_entry, op.kernel, op.stride, op.pad);
-          ws = ops::conv_out_size(w_entry, op.kernel, op.stride, op.pad);
-          elems = op.out_channels * hs * ws;
+          shortcut = ops::conv_out_size(entry, op.kernel, op.stride, op.pad);
         } else {
-          h = ops::conv_out_size(h, op.kernel, op.stride, op.pad);
-          w = ops::conv_out_size(w, op.kernel, op.stride, op.pad);
-          elems = op.out_channels * h * w;
+          side = ops::conv_out_size(side, op.kernel, op.stride, op.pad);
         }
-        break;
-      }
+        [[fallthrough]];
       case OpKind::BatchNorm:
       case OpKind::ReLU:
-      case OpKind::Add:
-        elems = op.on_shortcut ? op.out_channels * hs * ws
-                               : op.out_channels * h * w;
+      case OpKind::Add: {
+        const std::int64_t s = op.on_shortcut ? shortcut : side;
+        elems = op.out_channels * s * s;
         break;
+      }
       case OpKind::GlobalAvgPool:
-        elems = op.out_channels;
-        h = 1;
-        w = 1;
-        break;
+        side = 1;
+        [[fallthrough]];
       case OpKind::Linear:
         elems = op.out_channels;
         break;
     }
-    visit(op, elems, h, w);
+    visit(op, elems);
   }
 }
 }  // namespace
@@ -203,9 +191,7 @@ std::int64_t ResNetSpec::activation_elems(int image_size,
                                           std::int64_t batch) const {
   std::int64_t total = 0;
   replay(ops_, image_size,
-         [&](const OpSpec&, std::int64_t elems, std::int64_t, std::int64_t) {
-           total += elems;
-         });
+         [&](const OpSpec&, std::int64_t elems) { total += elems; });
   return total * batch;
 }
 
@@ -213,11 +199,9 @@ std::vector<std::int64_t> ResNetSpec::chain_step_activation_elems(
     int image_size, std::int64_t batch) const {
   std::vector<std::int64_t> per_step(
       static_cast<std::size_t>(num_chain_steps_), 0);
-  replay(ops_, image_size,
-         [&](const OpSpec& op, std::int64_t elems, std::int64_t,
-             std::int64_t) {
-           per_step[static_cast<std::size_t>(op.chain_step)] += elems * batch;
-         });
+  replay(ops_, image_size, [&](const OpSpec& op, std::int64_t elems) {
+    per_step[static_cast<std::size_t>(op.chain_step)] += elems * batch;
+  });
   return per_step;
 }
 
@@ -225,31 +209,29 @@ std::vector<double> ResNetSpec::chain_step_forward_costs(
     int image_size, std::int64_t batch) const {
   std::vector<double> per_step(static_cast<std::size_t>(num_chain_steps_),
                                0.0);
-  replay(ops_, image_size,
-         [&](const OpSpec& op, std::int64_t elems, std::int64_t, std::int64_t) {
-           double cost = 0.0;
-           switch (op.kind) {
-             case OpKind::Conv:
-               // MACs: output elems * (k^2 * in_channels)
-               cost = static_cast<double>(elems) *
-                      static_cast<double>(op.kernel * op.kernel *
-                                          op.in_channels);
-               break;
-             case OpKind::Linear:
-               cost = static_cast<double>(op.in_channels) *
-                      static_cast<double>(op.out_channels);
-               break;
-             case OpKind::MaxPool:
-               cost = static_cast<double>(elems) *
-                      static_cast<double>(op.kernel * op.kernel);
-               break;
-             default:
-               cost = static_cast<double>(elems);
-               break;
-           }
-           per_step[static_cast<std::size_t>(op.chain_step)] +=
-               cost * static_cast<double>(batch);
-         });
+  replay(ops_, image_size, [&](const OpSpec& op, std::int64_t elems) {
+    double cost = 0.0;
+    switch (op.kind) {
+      case OpKind::Conv:
+        // MACs: output elems * (k^2 * in_channels)
+        cost = static_cast<double>(elems) *
+               static_cast<double>(op.kernel * op.kernel * op.in_channels);
+        break;
+      case OpKind::Linear:
+        cost = static_cast<double>(op.in_channels) *
+               static_cast<double>(op.out_channels);
+        break;
+      case OpKind::MaxPool:
+        cost = static_cast<double>(elems) *
+               static_cast<double>(op.kernel * op.kernel);
+        break;
+      default:
+        cost = static_cast<double>(elems);
+        break;
+    }
+    per_step[static_cast<std::size_t>(op.chain_step)] +=
+        cost * static_cast<double>(batch);
+  });
   return per_step;
 }
 
@@ -257,15 +239,13 @@ std::vector<std::int64_t> ResNetSpec::chain_step_output_elems(
     int image_size, std::int64_t batch) const {
   std::vector<std::int64_t> per_step(
       static_cast<std::size_t>(num_chain_steps_), 0);
-  replay(ops_, image_size,
-         [&](const OpSpec& op, std::int64_t elems, std::int64_t,
-             std::int64_t) {
-           // The step's boundary is the output of its last main-branch op;
-           // shortcut branches merge before the boundary.
-           if (!op.on_shortcut) {
-             per_step[static_cast<std::size_t>(op.chain_step)] = elems * batch;
-           }
-         });
+  replay(ops_, image_size, [&](const OpSpec& op, std::int64_t elems) {
+    // The step's boundary is the output of its last main-branch op;
+    // shortcut branches merge before the boundary.
+    if (!op.on_shortcut) {
+      per_step[static_cast<std::size_t>(op.chain_step)] = elems * batch;
+    }
+  });
   return per_step;
 }
 
@@ -273,34 +253,54 @@ std::vector<std::int64_t> ResNetSpec::chain_step_output_elems(
 // Executable builder
 // ---------------------------------------------------------------------------
 
+namespace {
+/// The layer a one-op chain step runs.
+std::unique_ptr<nn::Layer> make_layer(const OpSpec& op, std::mt19937& rng) {
+  switch (op.kind) {
+    case OpKind::Conv:
+      return std::make_unique<nn::Conv2d>(op.in_channels, op.out_channels,
+                                          op.kernel, op.stride, op.pad, false,
+                                          rng);
+    case OpKind::BatchNorm:
+      return std::make_unique<nn::BatchNorm2d>(op.out_channels);
+    case OpKind::ReLU: return std::make_unique<nn::ReLU>();
+    case OpKind::MaxPool:
+      return std::make_unique<nn::MaxPool2d>(op.kernel, op.stride, op.pad);
+    case OpKind::GlobalAvgPool: return std::make_unique<nn::GlobalAvgPool>();
+    case OpKind::Linear:
+      return std::make_unique<nn::Linear>(op.in_channels, op.out_channels,
+                                          true, rng);
+    case OpKind::Add: break;
+  }
+  throw std::logic_error("build_resnet_chain: op cannot run as a chain step");
+}
+}  // namespace
+
 nn::LayerChain build_resnet_chain(ResNetVariant variant, int num_classes,
                                   std::int64_t in_channels, std::mt19937& rng) {
-  const bool bottleneck = uses_bottleneck(variant);
-  const std::array<int, 4> blocks = stage_blocks(variant);
-
+  const ResNetSpec spec = ResNetSpec::make(variant, num_classes, in_channels);
+  const std::vector<OpSpec>& ops = spec.ops();
   nn::LayerChain chain;
-  chain.push(std::make_unique<nn::Conv2d>(in_channels, 64, 7, 2, 3, false, rng));
-  chain.push(std::make_unique<nn::BatchNorm2d>(64));
-  chain.push(std::make_unique<nn::ReLU>());
-  chain.push(std::make_unique<nn::MaxPool2d>(3, 2, 1));
-
-  std::int64_t current = 64;
-  for (int stage = 0; stage < 4; ++stage) {
-    const std::int64_t width = kStageWidths[stage];
-    const std::int64_t out = bottleneck ? width * 4 : width;
-    for (int b = 0; b < blocks[static_cast<std::size_t>(stage)]; ++b) {
-      const std::int64_t stride = (stage > 0 && b == 0) ? 2 : 1;
-      if (bottleneck) {
-        chain.push(std::make_unique<nn::Bottleneck>(current, width, stride, rng));
-      } else {
-        chain.push(std::make_unique<nn::BasicBlock>(current, width, stride, rng));
-      }
-      current = out;
+  std::size_t end = 0;
+  for (std::int32_t step = 0; step < spec.num_chain_steps(); ++step) {
+    const std::size_t first = end;
+    std::int64_t stride = 1;  // a block's stride is that of its strided conv
+    for (; end < ops.size() && ops[end].chain_step == step; ++end) {
+      stride = std::max(stride, ops[end].stride);
+    }
+    // A multi-op step is a residual block; its first conv gives the input
+    // channels and the width.
+    const OpSpec& op = ops[first];
+    if (end - first == 1) {
+      chain.push(make_layer(op, rng));
+    } else if (uses_bottleneck(variant)) {
+      chain.push(std::make_unique<nn::Bottleneck>(
+          op.in_channels, op.out_channels, stride, rng));
+    } else {
+      chain.push(std::make_unique<nn::BasicBlock>(
+          op.in_channels, op.out_channels, stride, rng));
     }
   }
-
-  chain.push(std::make_unique<nn::GlobalAvgPool>());
-  chain.push(std::make_unique<nn::Linear>(current, num_classes, true, rng));
   return chain;
 }
 

@@ -7,9 +7,12 @@
 //   * exact activation-element counts at any image size and batch size,
 // the two ingredients of the paper's Tables I-III.
 //
-// build_resnet_chain() constructs the same architecture as an executable
-// nn::LayerChain whose steps are {stem ops, residual blocks, head ops} --
-// the block-level heterogeneous chain used by core::hetero.
+// Each op carries the chain step that runs it: every stem op (conv, bn,
+// relu, maxpool) and head op (pool, linear) is a step of its own, and each
+// residual block is one step. build_resnet_chain() builds the executable
+// nn::LayerChain from the spec, one layer per step, so the per-step costs
+// and boundary sizes below (and calib::predict_resnet) describe exactly the
+// chain that trains.
 #pragma once
 
 #include <array>
@@ -53,8 +56,9 @@ struct OpSpec {
   std::int64_t kernel = 0;
   std::int64_t stride = 1;
   std::int64_t pad = 0;
-  /// Chain step (block index) this op belongs to: 0 = stem, then one per
-  /// residual block, last = head.
+  /// Chain step this op belongs to, i.e. the index of the executable
+  /// chain's layer that runs it: 0..3 = stem conv, bn, relu, maxpool; then
+  /// one per residual block; then the global pool and the classifier.
   std::int32_t chain_step = 0;
   /// True for ops on the projection shortcut (their input is the block
   /// input, not the previous op's output).
@@ -81,8 +85,8 @@ class ResNetSpec {
   [[nodiscard]] std::int64_t activation_elems(int image_size,
                                               std::int64_t batch) const;
 
-  /// Activation elements produced within each chain step (stem, blocks,
-  /// head) -- the per-step M_A of the block-level heterogeneous chain.
+  /// Activation elements produced within each chain step -- the per-step
+  /// M_A of the executable chain.
   [[nodiscard]] std::vector<std::int64_t> chain_step_activation_elems(
       int image_size, std::int64_t batch) const;
 
@@ -104,11 +108,10 @@ class ResNetSpec {
   std::vector<OpSpec> ops_;
 };
 
-/// Executable ResNet with the canonical topology. Chain steps: conv-stem
-/// layers individually (conv, bn, relu, maxpool), one step per residual
-/// block, then global average pool and the classifier.
-/// @p width_multiple scales all channel counts (use < 1 only via
-/// small_nets.hpp helpers; the canonical network uses 1).
+/// Executable ResNet built from ResNetSpec::make(@p variant, @p num_classes,
+/// @p in_channels): one layer per chain step, so size() equals
+/// num_chain_steps(). Layers are constructed in op order, so a fixed @p rng
+/// state gives fixed weights.
 [[nodiscard]] nn::LayerChain build_resnet_chain(ResNetVariant variant,
                                                 int num_classes,
                                                 std::int64_t in_channels,

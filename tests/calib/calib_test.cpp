@@ -52,7 +52,10 @@ void write_bytes(const std::string& path,
                  const std::vector<std::uint8_t>& bytes) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  // fwrite's buffer must not be null, which an empty vector's data() may be.
+  const std::size_t written =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file);
+  ASSERT_EQ(written, bytes.size());
   ASSERT_EQ(std::fclose(file), 0);
 }
 

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <random>
+#include <vector>
+
+#include "calib/chain_costs.hpp"
+#include "core/dynprog.hpp"
+#include "core/executor.hpp"
+#include "nn/chain_runner.hpp"
+#include "tensor/ops.hpp"
 
 namespace edgetrain::models {
 namespace {
@@ -32,8 +40,8 @@ TEST_P(ParamCountTest, MatchesCanonicalValue) {
   const ResNetSpec spec = ResNetSpec::make(c.variant);
   EXPECT_EQ(spec.param_count(), c.params);
   EXPECT_EQ(spec.depth(), c.depth);
-  // chain steps = stem + blocks + head
-  EXPECT_EQ(spec.num_chain_steps(), c.blocks + 2);
+  // chain steps = 4 stem ops + blocks + 2 head ops
+  EXPECT_EQ(spec.num_chain_steps(), c.blocks + 6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -123,14 +131,109 @@ TEST(BuildResNetChain, ParamsMatchSpecAndForwardRuns) {
       build_resnet_chain(ResNetVariant::ResNet18, 10, 3, rng);
   const ResNetSpec spec = ResNetSpec::make(ResNetVariant::ResNet18, 10);
   EXPECT_EQ(chain.param_count(), spec.param_count());
-  // The executable chain splits the stem into 4 layers and the head into 2.
-  EXPECT_EQ(chain.size(), spec.num_chain_steps() + 4);
+  // One layer per spec chain step.
+  EXPECT_EQ(chain.size(), spec.num_chain_steps());
 
   Tensor x = Tensor::randn(Shape{1, 3, 64, 64}, rng);
   nn::RunContext ctx;
   ctx.save_for_backward = false;
   Tensor y = chain.forward(x, ctx);
   EXPECT_EQ(y.shape(), (Shape{1, 10}));
+}
+
+// A plausible fitted device: predict_resnet's byte sizes do not depend on
+// the rates, only its microseconds do.
+calib::DeviceModel sample_device() {
+  calib::DeviceModel m;
+  m.points = {calib::ThreadPoint{1, 4.0, 2.0}};
+  m.memcpy_bytes_per_sec = 8e9;
+  m.disk_write_bytes_per_sec = 50e6;
+  m.disk_read_bytes_per_sec = 80e6;
+  return m;
+}
+
+// The prediction prices the chain that runs: one entry per executable step,
+// and every boundary state, the input and the output exactly as large as
+// the tensors the chain passes between its layers.
+TEST(BuildResNetChain, PredictedBytesEqualLiveChainShapes) {
+  for (const ResNetVariant v : {ResNetVariant::ResNet18,
+                                ResNetVariant::ResNet34,
+                                ResNetVariant::ResNet50}) {
+    std::mt19937 rng(17);
+    const nn::LayerChain chain = build_resnet_chain(v, 10, 3, rng);
+    const ResNetSpec spec = ResNetSpec::make(v, 10);
+    EXPECT_EQ(chain.size(), spec.num_chain_steps()) << spec.name();
+    for (const int image : {64, 97}) {
+      for (const std::int64_t batch : {1, 3}) {
+        const std::vector<Shape> shapes =
+            chain.shapes(Shape{batch, 3, image, image});
+        const calib::ChainCosts costs =
+            calib::predict_resnet(spec, image, batch, sample_device(), 1);
+        SCOPED_TRACE(spec.name() + " image " + std::to_string(image) +
+                     " batch " + std::to_string(batch));
+        auto bytes = [&](std::size_t i) {
+          return static_cast<double>(shapes[i].numel()) * sizeof(float);
+        };
+        ASSERT_EQ(costs.num_steps(), chain.size());
+        ASSERT_EQ(costs.boundary_bytes.size(), shapes.size() - 2);
+        for (std::size_t j = 1; j + 1 < shapes.size(); ++j) {
+          EXPECT_EQ(costs.boundary_bytes[j - 1], bytes(j)) << "boundary " << j;
+        }
+        EXPECT_EQ(costs.input_bytes, bytes(0));
+        EXPECT_EQ(costs.output_bytes, bytes(shapes.size() - 1));
+      }
+    }
+  }
+}
+
+// A schedule planned from the prediction indexes the live chain step for
+// step: run on ResNet-18 it reproduces full storage's gradients bit for bit.
+TEST(BuildResNetChain, PredictedHeteroScheduleRunsBitIdentical) {
+  constexpr int kImage = 32;
+  constexpr std::int64_t kBatch = 2;
+  constexpr int kFreeSlots = 3;
+  std::mt19937 rng(2024);
+  nn::LayerChain chain =
+      build_resnet_chain(ResNetVariant::ResNet18, 10, 3, rng);
+  const calib::ChainCosts costs =
+      calib::predict_resnet(ResNetSpec::make(ResNetVariant::ResNet18, 10),
+                            kImage, kBatch, sample_device(), 1);
+  ASSERT_EQ(costs.num_steps(), chain.size());
+  const core::Schedule schedule =
+      core::hetero::HeteroSolver(costs.forward_us, kFreeSlots)
+          .make_schedule(kFreeSlots);
+
+  const Tensor x = Tensor::randn(Shape{kBatch, 3, kImage, kImage}, rng);
+  const std::vector<std::int32_t> labels{3, 7};
+  const core::LossGradFn loss_grad = [&](const Tensor& logits) {
+    return ops::softmax_xent_backward(
+        ops::softmax_xent_forward(logits, labels).probs, labels);
+  };
+  auto gradients = [&](bool planned) {
+    chain.zero_grad();
+    chain.clear_saved();
+    nn::LayerChainRunner runner(chain, nn::Phase::Train);
+    runner.begin_pass();
+    const core::ScheduleExecutor executor;
+    const core::ExecutionResult result =
+        planned ? executor.run(runner, schedule, x, loss_grad)
+                : executor.run_full_storage(runner, x, loss_grad);
+    std::vector<Tensor> grads{result.input_grad.clone()};
+    for (const nn::ParamRef& p : chain.params()) {
+      grads.push_back(p.grad->clone());
+    }
+    return grads;
+  };
+  const std::vector<Tensor> reference = gradients(false);
+  const std::vector<Tensor> planned = gradients(true);
+  ASSERT_EQ(planned.size(), reference.size());
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    ASSERT_EQ(planned[i].bytes(), reference[i].bytes()) << "tensor " << i;
+    EXPECT_EQ(std::memcmp(planned[i].data(), reference[i].data(),
+                          planned[i].bytes()),
+              0)
+        << "tensor " << i;
+  }
 }
 
 }  // namespace

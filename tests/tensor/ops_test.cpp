@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -110,12 +111,18 @@ Tensor naive_conv(const Tensor& x, const Tensor& w, const Tensor& bias,
   return y;
 }
 
+// gtest names each case by the raw bytes of its parameter, and ctest keeps
+// that name, so the struct must have no padding: padding bytes would carry
+// whatever the stack held. `name_bytes` fills the 7 bytes after `bias` with
+// zeros, which keeps every case name fixed.
 struct ConvCase {
   std::int64_t stride;
   std::int64_t pad;
   std::int64_t kernel;
   bool bias;
+  std::array<std::uint8_t, 7> name_bytes{};
 };
+static_assert(sizeof(ConvCase) == 32, "ConvCase must have no padding");
 
 class ConvTest : public ::testing::TestWithParam<ConvCase> {};
 

@@ -34,6 +34,13 @@ std::vector<float> make_values(std::int64_t n, double density,
   return values;
 }
 
+/// Bitwise equality of two n-float arrays. memcmp's pointers must not be
+/// null, which an empty vector's data() may be, so n == 0 never calls it.
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  return n == 0 ||
+         std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
 // Lengths straddling the word (64) and parallel-chunk (1 << 15)
 // boundaries, plus tiny and empty edge cases.
 const std::int64_t kLengths[] = {0,
@@ -99,9 +106,7 @@ TEST(SparseKernelTest, CompactAndScatterMatchScalarAndRoundTrip) {
       scatter_nonzeros_scalar(expected_packed.data(), bitmap.data(), n,
                               expected_back.data());
       // The scalar pair must already round-trip bit-exactly.
-      ASSERT_EQ(std::memcmp(expected_back.data(), src.data(),
-                            static_cast<std::size_t>(n) * sizeof(float)),
-                0)
+      ASSERT_TRUE(same_bits(expected_back.data(), src.data(), n))
           << "n=" << n << " d=" << density;
 
       for (const auto threading :
@@ -114,9 +119,7 @@ TEST(SparseKernelTest, CompactAndScatterMatchScalarAndRoundTrip) {
         std::vector<float> back(static_cast<std::size_t>(n), -2.0F);
         scatter_nonzeros(packed.data(), bitmap.data(), n, back.data(),
                          threading);
-        EXPECT_EQ(std::memcmp(back.data(), src.data(),
-                              static_cast<std::size_t>(n) * sizeof(float)),
-                  0)
+        EXPECT_TRUE(same_bits(back.data(), src.data(), n))
             << "n=" << n << " d=" << density;
       }
     }
