@@ -1,6 +1,6 @@
 // Substrate throughput benchmarks (google-benchmark): GEMM (all transpose
-// combinations), conv2d forward/backward, batch norm, and the thread-pool
-// scaling that stands in for the Waggle node's 4+4 cores.
+// combinations), conv2d forward/backward, batch norm and max-pool, and the
+// thread-pool scaling that stands in for the Waggle node's 4+4 cores.
 //
 // Each compute benchmark exports a GFLOPS counter (rate over wall time, the
 // honest metric when the pool keeps multiple threads busy). Besides the
@@ -177,21 +177,95 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
 
-void BM_BatchNormForward(benchmark::State& state) {
+// The memory-bound layers at the in-situ student's and the ResNet-18
+// stem's shapes, timed at one thread like the end-to-end step (the first
+// two batch-norm rows keep their original shape and the default pool).
+// Each row reports the bytes of the layer's input tensor as
+// bytes_per_second, so a row at calib.memcpy_gbps costs what one memcpy of
+// its input costs.
+constexpr std::int64_t kStudentShape[] = {16, 8, 24, 24};  // in-situ student
+constexpr std::int64_t kStemShape[] = {1, 64, 56, 56};     // ResNet-18 stem
+
+Shape nchw(const std::int64_t (&dims)[4]) {
+  return Shape{dims[0], dims[1], dims[2], dims[3]};
+}
+
+void set_input_bytes(benchmark::State& state, const Tensor& x) {
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.bytes()));
+}
+
+void BM_BatchNormForward(benchmark::State& state, const Shape& shape,
+                         unsigned threads) {
   std::mt19937 rng(4);
-  const std::int64_t c = state.range(0);
-  Tensor x = Tensor::randn(Shape{4, c, 28, 28}, rng);
+  const std::int64_t c = shape[1];
+  Tensor x = Tensor::randn(shape, rng);
   Tensor gamma = Tensor::full(Shape{c}, 1.0F);
   Tensor beta = Tensor::zeros(Shape{c});
   Tensor rm = Tensor::zeros(Shape{c});
   Tensor rv = Tensor::full(Shape{c}, 1.0F);
+  ThreadPool::set_global_threads(threads);
   for (auto _ : state) {
     ops::BatchNormState s =
         ops::batchnorm2d_forward(x, gamma, beta, rm, rv, 0.1F, 1e-5F, false);
     benchmark::DoNotOptimize(s.y.data());
+    benchmark::ClobberMemory();
   }
+  ThreadPool::set_global_threads(0);
+  set_input_bytes(state, x);
 }
-BENCHMARK(BM_BatchNormForward)->Arg(16)->Arg(64);
+BENCHMARK_CAPTURE(BM_BatchNormForward, 16, Shape{4, 16, 28, 28}, 0);
+BENCHMARK_CAPTURE(BM_BatchNormForward, 64, Shape{4, 64, 28, 28}, 0);
+BENCHMARK_CAPTURE(BM_BatchNormForward, student, nchw(kStudentShape), 1);
+BENCHMARK_CAPTURE(BM_BatchNormForward, stem, nchw(kStemShape), 1);
+
+void BM_BatchNormBackward(benchmark::State& state, const Shape& shape) {
+  std::mt19937 rng(6);
+  const std::int64_t c = shape[1];
+  Tensor x = Tensor::randn(shape, rng);
+  Tensor gy = Tensor::randn(shape, rng);
+  Tensor gamma = Tensor::full(Shape{c}, 1.0F);
+  Tensor beta = Tensor::zeros(Shape{c});
+  Tensor rm = Tensor::zeros(Shape{c});
+  Tensor rv = Tensor::full(Shape{c}, 1.0F);
+  ThreadPool::set_global_threads(1);
+  const ops::BatchNormState saved =
+      ops::batchnorm2d_forward(x, gamma, beta, rm, rv, 0.1F, 1e-5F, false);
+  for (auto _ : state) {
+    ops::BatchNormGrads g = ops::batchnorm2d_backward(gy, x, gamma, saved);
+    benchmark::DoNotOptimize(g.grad_x.data());
+    benchmark::ClobberMemory();
+  }
+  ThreadPool::set_global_threads(0);
+  set_input_bytes(state, x);
+}
+BENCHMARK_CAPTURE(BM_BatchNormBackward, student, nchw(kStudentShape));
+BENCHMARK_CAPTURE(BM_BatchNormBackward, stem, nchw(kStemShape));
+
+/// The model's pool at each shape: 2x2/s2 in the student, 3x3/s2/p1 after
+/// the stem; with the argmax (a saving forward) or values only (recompute).
+void BM_MaxPool(benchmark::State& state, const Shape& shape, bool argmax) {
+  std::mt19937 rng(8);
+  Tensor x = Tensor::randn(shape, rng);
+  const bool student = shape[2] == kStudentShape[2];
+  const std::int64_t k = student ? 2 : 3;
+  const ops::ConvParams p{2, student ? 0 : 1};
+  for (auto _ : state) {
+    if (argmax) {
+      ops::MaxPoolResult r = ops::maxpool2d_forward(x, k, p);
+      benchmark::DoNotOptimize(r.argmax.data());
+    } else {
+      Tensor y = ops::maxpool2d_values(x, k, p);
+      benchmark::DoNotOptimize(y.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  set_input_bytes(state, x);
+}
+BENCHMARK_CAPTURE(BM_MaxPool, student_argmax, nchw(kStudentShape), true);
+BENCHMARK_CAPTURE(BM_MaxPool, student_values, nchw(kStudentShape), false);
+BENCHMARK_CAPTURE(BM_MaxPool, stem_argmax, nchw(kStemShape), true);
+BENCHMARK_CAPTURE(BM_MaxPool, stem_values, nchw(kStemShape), false);
 
 // Thread-count sweep arguments: powers of two up to this machine's
 // hardware_concurrency, with hardware_concurrency itself always the last

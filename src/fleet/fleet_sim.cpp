@@ -20,11 +20,6 @@ double to_seconds(std::uint64_t us) {
   return static_cast<double>(us) * 1e-6;
 }
 
-double mix_uniform01(std::uint64_t& state) {
-  return (static_cast<double>(splitmix64_next(state) >> 11) + 1.0) *
-         (1.0 / 9007199254740992.0);
-}
-
 /// One contiguous id range [begin, end) with its own engine: the unit of
 /// driver-thread parallelism. Nothing in here is shared across partitions
 /// except the sink.
@@ -133,13 +128,14 @@ FleetReport run_fleet(const FleetConfig& config, DeltaSink* sink,
       NodeParams params = base;
       const auto& profile = *profiles[id % profiles.size()];
       params.profile = &profile;
-      params.phase_seconds = mix_uniform01(mix) * profile.period_seconds();
+      params.phase_seconds =
+          splitmix64_uniform01(mix) * profile.period_seconds();
       part.nodes.emplace_back(id, params, node_seed);
       FleetNode& node = part.nodes.back();
 
       const std::size_t local = id - part.begin;
       const std::uint64_t first_sync =
-          std::max<std::uint64_t>(to_us(mix_uniform01(mix) *
+          std::max<std::uint64_t>(to_us(splitmix64_uniform01(mix) *
                                         config.sync_interval_seconds),
                                   1);
       part.expected_sync_us[local] = first_sync;

@@ -12,14 +12,8 @@ FleetNode::FleetNode(std::uint32_t id, const NodeParams& params,
                      std::uint64_t seed)
     : id_(id), params_(params), rng_state_(seed) {}
 
-double FleetNode::uniform01() {
-  // 53 mantissa bits, +1 so the result is in (0, 1] and log() never sees 0.
-  return (static_cast<double>(splitmix64_next(rng_state_) >> 11) + 1.0) *
-         (1.0 / 9007199254740992.0);
-}
-
 double FleetNode::draw_time_to_failure() {
-  return -params_.mtbf_seconds * std::log(uniform01());
+  return -params_.mtbf_seconds * std::log(splitmix64_uniform01(rng_state_));
 }
 
 void FleetNode::count_snapshot_writes(std::uint64_t writes,
@@ -90,7 +84,7 @@ StudentDelta FleetNode::sync(double /*now_seconds*/) {
           : 1.0;
   const double scale = 1000.0 * (1.0 - progress) + 1.0;
   for (std::size_t k = 0; k < kDeltaComponents; ++k) {
-    const double u = 2.0 * uniform01() - 1.0;
+    const double u = 2.0 * splitmix64_uniform01(rng_state_) - 1.0;
     delta.weights[k] = static_cast<std::int32_t>(std::lround(u * scale));
   }
   return delta;
@@ -100,7 +94,8 @@ void FleetNode::crash(double /*now_seconds*/) {
   ++crashes_;
   down_ = true;
   std::uint64_t durable = last_durable_step_;
-  if (uniform01() < params_.torn_snapshot_probability) {
+  if (splitmix64_uniform01(rng_state_) <
+      params_.torn_snapshot_probability) {
     // The crash caught the newest generation mid-write: it fails CRC on
     // reboot and recovery falls back one generation.
     ++torn_snapshots_;

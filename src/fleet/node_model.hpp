@@ -108,11 +108,6 @@ class FleetNode {
   [[nodiscard]] std::uint32_t fold_state(std::uint32_t crc_state) const;
 
  private:
-  /// Uniform in (0, 1], fully specified (no std::distribution, whose
-  /// algorithm is implementation-defined and would tie the replay
-  /// fingerprint to a libstdc++ version).
-  double uniform01();
-
   /// Records @p writes snapshot writes whose newest generation persists
   /// @p durable_step; advances the two-generation ring, applies SD wear.
   void count_snapshot_writes(std::uint64_t writes, std::uint64_t durable_step);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "nn/layers.hpp"
@@ -17,36 +16,6 @@ namespace {
 
 void check(bool ok, const char* message) {
   if (!ok) throw std::invalid_argument(message);
-}
-
-/// fp32 max pooling over one plane set (same -inf padding semantics as
-/// ops::maxpool2d_forward, without the Tensor/argmax machinery).
-void maxpool2d_f32(const float* x, std::int64_t channels, std::int64_t h,
-                   std::int64_t w, std::int64_t k, const ops::ConvParams& p,
-                   float* y) {
-  const std::int64_t ho = ops::conv_out_size(h, k, p.stride, p.pad);
-  const std::int64_t wo = ops::conv_out_size(w, k, p.stride, p.pad);
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const float* plane = x + c * h * w;
-    float* out = y + c * ho * wo;
-    for (std::int64_t oy = 0; oy < ho; ++oy) {
-      for (std::int64_t ox = 0; ox < wo; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        const std::int64_t iy0 = oy * p.stride - p.pad;
-        const std::int64_t ix0 = ox * p.stride - p.pad;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = iy0 + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ix0 + kx;
-            if (ix < 0 || ix >= w) continue;
-            best = std::max(best, plane[iy * w + ix]);
-          }
-        }
-        out[oy * wo + ox] = best;
-      }
-    }
-  }
 }
 
 /// u8 quantization params covering the requested central mass of the
@@ -259,8 +228,8 @@ void QuantizedPatchClassifier::calibrate(const Tensor& calibration_batch,
       if (s.has_pool) {
         float* pooled = bufs[which];
         which ^= 1;
-        maxpool2d_f32(conv_out, s.out_c, s.conv_h, s.conv_w, s.pool_kernel,
-                      s.pool_params, pooled);
+        ops::maxpool2d_values(conv_out, s.out_c, s.conv_h, s.conv_w,
+                              s.pool_kernel, s.pool_params, pooled);
         cur = pooled;
       } else {
         cur = conv_out;
@@ -364,8 +333,8 @@ Tensor QuantizedPatchClassifier::logits_fp32_like(const Tensor& batch,
       if (s.has_pool) {
         float* pooled = bufs[which];
         which ^= 1;
-        maxpool2d_f32(conv_out, s.out_c, s.conv_h, s.conv_w, s.pool_kernel,
-                      s.pool_params, pooled);
+        ops::maxpool2d_values(conv_out, s.out_c, s.conv_h, s.conv_w,
+                              s.pool_kernel, s.pool_params, pooled);
         cur = pooled;
       } else {
         cur = conv_out;

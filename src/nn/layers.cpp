@@ -161,14 +161,14 @@ MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride, std::int64_t pad)
     : kernel_(kernel), params_{stride, pad} {}
 
 Tensor MaxPool2d::forward(const Tensor& x, const RunContext& ctx) {
-  ops::MaxPoolResult result = ops::maxpool2d_forward(x, kernel_, params_);
-  if (ctx.save_for_backward) {
-    saved_argmax_ = std::move(result.argmax);
-    saved_x_shape_ = x.shape();
-    has_saved_ = true;
-  } else {
+  if (!ctx.save_for_backward) {
     clear_saved();
+    return ops::maxpool2d_values(x, kernel_, params_);
   }
+  ops::MaxPoolResult result = ops::maxpool2d_forward(x, kernel_, params_);
+  saved_argmax_ = std::move(result.argmax);
+  saved_x_shape_ = x.shape();
+  has_saved_ = true;
   return result.y;
 }
 

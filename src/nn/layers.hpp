@@ -118,7 +118,7 @@ class MaxPool2d final : public Layer {
  private:
   std::int64_t kernel_;
   ops::ConvParams params_;
-  std::vector<std::int32_t> saved_argmax_;
+  ops::PoolArgmax saved_argmax_;
   Shape saved_x_shape_;
   bool has_saved_ = false;
 };

@@ -621,6 +621,82 @@ void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 // Convolution
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The outputs [lo, hi) of a row whose tap kj reads an input column inside
+/// [0, w): ix = ox * stride - pad + kj. Hoisted out of the row loops, so
+/// the rows copy runs with no per-pixel bounds checks.
+std::pair<std::int64_t, std::int64_t> valid_cols(std::int64_t w,
+                                                 std::int64_t wo,
+                                                 std::int64_t kj,
+                                                 const ConvParams& p) {
+  const std::int64_t lo =
+      std::min(wo, p.pad > kj ? ceil_div(p.pad - kj, p.stride) : 0);
+  const std::int64_t end = w + p.pad - kj;  // ix < w <=> ox * stride < end
+  const std::int64_t hi =
+      end <= 0 ? lo : std::max(lo, std::min(wo, ceil_div(end, p.stride)));
+  return {lo, hi};
+}
+
+/// dst[j] = src[j * stride]; stride 2 (every strided conv in a ResNet) is a
+/// compile-time stride the loop vectorises with.
+void gather_run(const float* src, std::int64_t stride, float* dst,
+                std::int64_t n) {
+  if (stride == 1) {
+    std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+  } else if (stride == 2) {
+    for (std::int64_t j = 0; j < n; ++j) dst[j] = src[j * 2];
+  } else {
+    for (std::int64_t j = 0; j < n; ++j) dst[j] = src[j * stride];
+  }
+}
+
+/// dst[j * stride] += src[j], in increasing j.
+void scatter_add_run(const float* src, std::int64_t stride, float* dst,
+                     std::int64_t n) {
+  if (stride == 1) {
+    for (std::int64_t j = 0; j < n; ++j) dst[j] += src[j];
+  } else if (stride == 2) {
+    for (std::int64_t j = 0; j < n; ++j) dst[j * 2] += src[j];
+  } else {
+    for (std::int64_t j = 0; j < n; ++j) dst[j * stride] += src[j];
+  }
+}
+
+/// One im2col row of a stride-1 conv whose output is as wide as its input
+/// (w == wo, the "same" 3x3/p1 convs): a source pixel then sits at a fixed
+/// offset from its destination, so the output rows whose tap row is inside
+/// the input take one copy from the first valid pixel to the last. The
+/// fringe columns that copy fills with the neighbouring rows' edge pixels
+/// are zeroed after it, and the other rows are zero.
+void same_width_row(const float* plane, std::int64_t h, std::int64_t w,
+                    std::int64_t ho, std::int64_t ki, std::int64_t kj,
+                    std::int64_t pad, std::int64_t lo, std::int64_t hi,
+                    float* dst) {
+  const std::int64_t oy_a = std::clamp<std::int64_t>(pad - ki, 0, ho);
+  const std::int64_t oy_b = std::clamp<std::int64_t>(h + pad - ki, oy_a, ho);
+  std::memset(dst, 0, static_cast<std::size_t>(oy_a * w) * sizeof(float));
+  std::memset(dst + oy_b * w, 0,
+              static_cast<std::size_t>((ho - oy_b) * w) * sizeof(float));
+  if (oy_b == oy_a) return;
+  const std::int64_t first = oy_a * w + lo;
+  const std::int64_t last = (oy_b - 1) * w + hi;
+  std::memcpy(dst + first, plane + first + (ki - pad) * w + kj - pad,
+              static_cast<std::size_t>(last - first) * sizeof(float));
+  // Column by column: a loop along a row would become a memset call each.
+  const auto zero_column = [&](std::int64_t ox) {
+    for (std::int64_t oy = oy_a; oy < oy_b; ++oy) dst[oy * w + ox] = 0.0F;
+  };
+  for (std::int64_t ox = 0; ox < lo; ++ox) zero_column(ox);
+  for (std::int64_t ox = hi; ox < w; ++ox) zero_column(ox);
+}
+
+}  // namespace
+
+// Both lowerings visit (channel, ki, kj, oy) in the same order and touch
+// only a row's valid span [lo, hi): zero fringes in im2col, skipped ones in
+// col2im, so each input element gets its additions in the same order as
+// a per-pixel bounds-checked loop.
 void im2col(const float* x, std::int64_t channels, std::int64_t h,
             std::int64_t w, std::int64_t kh, std::int64_t kw,
             const ConvParams& p, float* col) {
@@ -632,47 +708,23 @@ void im2col(const float* x, std::int64_t channels, std::int64_t h,
       for (std::int64_t kj = 0; kj < kw; ++kj) {
         const std::int64_t row = (c * kh + ki) * kw + kj;
         float* dst = col + row * out_area;
-        if (p.stride == 1) {
-          // Fast path: ix = ox - pad + kj walks in lockstep with ox, so the
-          // valid span [ox_lo, ox_hi) is one contiguous memcpy per output
-          // row, with memset fringes for the padding (bounds hoisted out of
-          // the inner loop).
-          const std::int64_t ox_lo = std::max<std::int64_t>(0, p.pad - kj);
-          const std::int64_t ox_hi = std::min(wo, w + p.pad - kj);
-          const std::int64_t run = ox_hi - ox_lo;
-          for (std::int64_t oy = 0; oy < ho; ++oy) {
-            const std::int64_t iy = oy - p.pad + ki;
-            float* drow = dst + oy * wo;
-            if (iy < 0 || iy >= h || run <= 0) {
-              std::memset(drow, 0, static_cast<std::size_t>(wo) * sizeof(float));
-              continue;
-            }
-            const float* src_row = x + (c * h + iy) * w + kj - p.pad;
-            if (ox_lo > 0) {
-              std::memset(drow, 0, static_cast<std::size_t>(ox_lo) * sizeof(float));
-            }
-            std::memcpy(drow + ox_lo, src_row + ox_lo,
-                        static_cast<std::size_t>(run) * sizeof(float));
-            if (ox_hi < wo) {
-              std::memset(drow + ox_hi, 0,
-                          static_cast<std::size_t>(wo - ox_hi) * sizeof(float));
-            }
-          }
+        const auto [lo, hi] = valid_cols(w, wo, kj, p);
+        if (p.stride == 1 && w == wo && hi > lo) {
+          same_width_row(x + c * h * w, h, w, ho, ki, kj, p.pad, lo, hi, dst);
           continue;
         }
         for (std::int64_t oy = 0; oy < ho; ++oy) {
           const std::int64_t iy = oy * p.stride - p.pad + ki;
-          if (iy < 0 || iy >= h) {
-            std::memset(dst + oy * wo, 0,
-                        static_cast<std::size_t>(wo) * sizeof(float));
+          float* drow = dst + oy * wo;
+          if (iy < 0 || iy >= h || hi == lo) {
+            std::memset(drow, 0, static_cast<std::size_t>(wo) * sizeof(float));
             continue;
           }
-          const float* src_row = x + (c * h + iy) * w;
-          for (std::int64_t ox = 0; ox < wo; ++ox) {
-            const std::int64_t ix = ox * p.stride - p.pad + kj;
-            dst[oy * wo + ox] =
-                (ix >= 0 && ix < w) ? src_row[ix] : 0.0F;
-          }
+          std::memset(drow, 0, static_cast<std::size_t>(lo) * sizeof(float));
+          gather_run(x + (c * h + iy) * w + lo * p.stride - p.pad + kj,
+                     p.stride, drow + lo, hi - lo);
+          std::memset(drow + hi, 0,
+                      static_cast<std::size_t>(wo - hi) * sizeof(float));
         }
       }
     }
@@ -690,31 +742,14 @@ void col2im(const float* col, std::int64_t channels, std::int64_t h,
       for (std::int64_t kj = 0; kj < kw; ++kj) {
         const std::int64_t row = (c * kh + ki) * kw + kj;
         const float* src = col + row * out_area;
-        if (p.stride == 1) {
-          // Fast path mirror of im2col: one contiguous accumulate run per
-          // output row, no per-pixel bounds checks.
-          const std::int64_t ox_lo = std::max<std::int64_t>(0, p.pad - kj);
-          const std::int64_t ox_hi = std::min(wo, w + p.pad - kj);
-          if (ox_hi <= ox_lo) continue;
-          for (std::int64_t oy = 0; oy < ho; ++oy) {
-            const std::int64_t iy = oy - p.pad + ki;
-            if (iy < 0 || iy >= h) continue;
-            float* dst_row = x + (c * h + iy) * w + kj - p.pad;
-            const float* srow = src + oy * wo;
-            for (std::int64_t ox = ox_lo; ox < ox_hi; ++ox) {
-              dst_row[ox] += srow[ox];
-            }
-          }
-          continue;
-        }
+        const auto [lo, hi] = valid_cols(w, wo, kj, p);
+        if (hi == lo) continue;
         for (std::int64_t oy = 0; oy < ho; ++oy) {
           const std::int64_t iy = oy * p.stride - p.pad + ki;
           if (iy < 0 || iy >= h) continue;
-          float* dst_row = x + (c * h + iy) * w;
-          for (std::int64_t ox = 0; ox < wo; ++ox) {
-            const std::int64_t ix = ox * p.stride - p.pad + kj;
-            if (ix >= 0 && ix < w) dst_row[ix] += src[oy * wo + ox];
-          }
+          scatter_add_run(src + oy * wo + lo, p.stride,
+                          x + (c * h + iy) * w + lo * p.stride - p.pad + kj,
+                          hi - lo);
         }
       }
     }
@@ -853,84 +888,279 @@ Tensor relu_backward(const Tensor& grad_y, const Tensor& y) {
   return gx;
 }
 
-MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t k,
-                                const ConvParams& p) {
-  const std::int64_t n = x.shape()[0];
-  const std::int64_t c = x.shape()[1];
-  const std::int64_t h = x.shape()[2];
-  const std::int64_t w = x.shape()[3];
-  const std::int64_t ho = conv_out_size(h, k, p.stride, p.pad);
-  const std::int64_t wo = conv_out_size(w, k, p.stride, p.pad);
+namespace {
 
-  MaxPoolResult result;
-  result.y = Tensor::empty(Shape{n, c, ho, wo});
-  result.argmax.assign(static_cast<std::size_t>(n * c * ho * wo), 0);
+/// `run` consecutive interior outputs of one pool row, one at a time:
+/// output j's window has its top-left tap at src[j * stride] and its row r
+/// at r * w further; idx0 is the plane offset of src. The taps are visited
+/// row by row and the first strict maximum kept.
+template <bool kArgmax>
+[[gnu::always_inline]] inline void pool_row(const float* src, std::int64_t w,
+                                            std::int64_t k,
+                                            std::int64_t stride,
+                                            std::int32_t idx0,
+                                            std::int64_t run, float* y,
+                                            std::int32_t* am) {
+  for (std::int64_t j = 0; j < run; ++j) {
+    float best = -std::numeric_limits<float>::infinity();
+    std::int32_t best_idx = 0;
+    for (std::int64_t ki = 0; ki < k; ++ki) {
+      for (std::int64_t kj = 0; kj < k; ++kj) {
+        const std::int64_t off = ki * w + j * stride + kj;
+        const float v = src[off];
+        if constexpr (kArgmax) {
+          best_idx = v > best ? idx0 + static_cast<std::int32_t>(off) : best_idx;
+        }
+        best = v > best ? v : best;
+      }
+    }
+    y[j] = best;
+    if constexpr (kArgmax) am[j] = best_idx;
+  }
+}
 
-  const float* xp = x.data();
-  float* yp = result.y.data();
-  std::int32_t* am = result.argmax.data();
+/// V pool outputs in vector registers (GNU vector extensions, like the
+/// GEMM tiles): float values and the int32 offsets of their argmax.
+template <std::size_t V>
+struct PoolLanes {
+  typedef float Values __attribute__((vector_size(4 * V)));
+  typedef std::int32_t Offsets __attribute__((vector_size(4 * V)));
 
-  // Outputs in [lo, hi) along one axis have their whole window inside the
-  // input, so the interior skips the per-tap bounds checks (and branches:
-  // the running max is a select). Both paths scan the window row by row and
-  // keep the first strict maximum, so ties and all -inf windows (which keep
-  // index 0) pick the same argmax.
+  /// p[0], p[2], ..., p[2V - 2], read as two vectors that end at the last
+  /// of them (so no read passes the window) and one two-source shuffle.
+  template <std::size_t... L>
+  [[gnu::always_inline]] static void even(const float* p, Values& out,
+                                          std::index_sequence<L...> /*l*/) {
+    Values lo;
+    Values hi;
+    std::memcpy(&lo, p, sizeof lo);
+    std::memcpy(&hi, p + V - 1, sizeof hi);
+    out = __builtin_shufflevector(lo, hi, (L < V / 2 ? 2 * L : 2 * L + 1)...);
+  }
+
+  /// out = {0, 2, 4, ...}.
+  template <std::size_t... L>
+  [[gnu::always_inline]] static void twice_iota(
+      Offsets& out, std::index_sequence<L...> /*l*/) {
+    out = Offsets{static_cast<std::int32_t>(2 * L)...};
+  }
+};
+
+/// Outputs [j, j + V) of a stride-2 pool row (pool_row's layout), the
+/// window's taps in the same order with the same selects, V lanes at once.
+template <std::int64_t kK, bool kArgmax, std::size_t V>
+[[gnu::always_inline]] inline void pool_block_s2(const float* src,
+                                                 std::int64_t w,
+                                                 std::int32_t idx0,
+                                                 std::int64_t j, float* y,
+                                                 std::int32_t* am) {
+  using Lanes = PoolLanes<V>;
+  constexpr auto kLanes = std::make_index_sequence<V>{};
+  typename Lanes::Values best =
+      typename Lanes::Values{} - std::numeric_limits<float>::infinity();
+  typename Lanes::Offsets best_idx{};
+  typename Lanes::Offsets first;
+  Lanes::twice_iota(first, kLanes);
+  first += idx0 + static_cast<std::int32_t>(2 * j);
+  for (std::int64_t ki = 0; ki < kK; ++ki) {
+    for (std::int64_t kj = 0; kj < kK; ++kj) {
+      const std::int64_t tap = ki * w + kj;
+      typename Lanes::Values v;
+      Lanes::even(src + tap + 2 * j, v, kLanes);
+      const typename Lanes::Offsets take = v > best;
+      if constexpr (kArgmax) {
+        best_idx = take ? first + static_cast<std::int32_t>(tap) : best_idx;
+      }
+      best = take ? v : best;
+    }
+  }
+  std::memcpy(y + j, &best, sizeof best);
+  if constexpr (kArgmax) std::memcpy(am + j, &best_idx, sizeof best_idx);
+}
+
+/// A stride-2 pool row in blocks of V outputs; the last block ends at the
+/// row's end, overlapping its predecessor (recomputed outputs are the same
+/// bits). Rows shorter than V take narrower blocks, under 4 one at a time.
+template <std::int64_t kK, bool kArgmax, std::size_t V>
+[[gnu::always_inline]] inline void pool_row_s2(const float* src,
+                                               std::int64_t w,
+                                               std::int32_t idx0,
+                                               std::int64_t run, float* y,
+                                               std::int32_t* am) {
+  constexpr auto kV = static_cast<std::int64_t>(V);
+  if (run < kV) {
+    if constexpr (V > 4) {
+      pool_row_s2<kK, kArgmax, V / 2>(src, w, idx0, run, y, am);
+    } else {
+      pool_row<kArgmax>(src, w, kK, 2, idx0, run, y, am);
+    }
+    return;
+  }
+  for (std::int64_t j = 0; j + kV < run; j += kV) {
+    pool_block_s2<kK, kArgmax, V>(src, w, idx0, j, y, am);
+  }
+  pool_block_s2<kK, kArgmax, V>(src, w, idx0, run - kV, y, am);
+}
+
+/// Max pooling of @p planes contiguous h x w planes. Outputs in [lo, hi)
+/// along one axis have their whole window inside the input, so the
+/// interior skips the per-tap bounds checks; kK fixes the window at
+/// compile time (0: the runtime k and p.stride), and then the stride is 2
+/// and the interior runs in blocks of V lanes. Every path keeps the first
+/// strict maximum of a row-by-row scan, so ties, NaN and all -inf windows
+/// (which keep index 0) come out the same. kArgmax false writes y alone.
+/// Offsets fit in int32 (the argmax type).
+template <std::int64_t kK, bool kArgmax, std::size_t V>
+[[gnu::always_inline]] inline void maxpool_planes(
+    const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
+    std::int64_t k_arg, const ConvParams& p, float* y, std::int32_t* am) {
+  const std::int64_t k = kK > 0 ? kK : k_arg;
+  const std::int64_t s = kK > 0 ? 2 : p.stride;
+  const std::int64_t ho = conv_out_size(h, k, s, p.pad);
+  const std::int64_t wo = conv_out_size(w, k, s, p.pad);
   const auto inside = [&](std::int64_t size, std::int64_t out) {
-    const std::int64_t lo = std::min(out, ceil_div(p.pad, p.stride));
+    const std::int64_t lo = std::min(out, ceil_div(p.pad, s));
     const std::int64_t last = size + p.pad - k;
-    const std::int64_t hi = last < 0 ? lo : std::min(out, last / p.stride + 1);
+    const std::int64_t hi = last < 0 ? lo : std::min(out, last / s + 1);
     return std::pair{lo, std::max(lo, hi)};
   };
   const auto [oy_lo, oy_hi] = inside(h, ho);
   const auto [ox_lo, ox_hi] = inside(w, wo);
 
-  for (std::int64_t img = 0; img < n; ++img) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = xp + (img * c + ch) * h * w;
-      float* y_row = yp + (img * c + ch) * ho * wo;
-      std::int32_t* am_row = am + (img * c + ch) * ho * wo;
-      for (std::int64_t oy = 0; oy < ho; ++oy, y_row += wo, am_row += wo) {
-        const std::int64_t iy0 = oy * p.stride - p.pad;
-        const bool row_inside = oy >= oy_lo && oy < oy_hi;
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          const std::int64_t ix0 = ox * p.stride - p.pad;
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          if (row_inside && ox >= ox_lo && ox < ox_hi) {
-            for (std::int64_t ki = 0; ki < k; ++ki) {
-              const std::int64_t base = (iy0 + ki) * w + ix0;
-              for (std::int64_t kj = 0; kj < k; ++kj) {
-                const float v = plane[base + kj];
-                best_idx = v > best ? base + kj : best_idx;
-                best = v > best ? v : best;
-              }
-            }
-          } else {
-            for (std::int64_t ki = 0; ki < k; ++ki) {
-              const std::int64_t iy = iy0 + ki;
-              if (iy < 0 || iy >= h) continue;
-              for (std::int64_t kj = 0; kj < k; ++kj) {
-                const std::int64_t ix = ix0 + kj;
-                if (ix < 0 || ix >= w) continue;
-                const float v = plane[iy * w + ix];
-                if (v > best) {
-                  best = v;
-                  best_idx = iy * w + ix;
-                }
-              }
+  for (std::int64_t pl = 0; pl < planes; ++pl) {
+    const float* plane = x + pl * h * w;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      float* y_row = y + (pl * ho + oy) * wo;
+      std::int32_t* am_row = kArgmax ? am + (pl * ho + oy) * wo : nullptr;
+      const std::int64_t iy0 = oy * s - p.pad;
+      const auto border = [&](std::int64_t ox) {
+        const std::int64_t ix0 = ox * s - p.pad;
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t best_idx = 0;
+        for (std::int64_t ki = 0; ki < k; ++ki) {
+          const std::int64_t iy = iy0 + ki;
+          if (iy < 0 || iy >= h) continue;
+          for (std::int64_t kj = 0; kj < k; ++kj) {
+            const std::int64_t ix = ix0 + kj;
+            if (ix < 0 || ix >= w) continue;
+            const float v = plane[iy * w + ix];
+            if (v > best) {
+              best = v;
+              best_idx = iy * w + ix;
             }
           }
-          y_row[ox] = best;
-          am_row[ox] = static_cast<std::int32_t>(best_idx);
         }
+        y_row[ox] = best;
+        if constexpr (kArgmax) am_row[ox] = static_cast<std::int32_t>(best_idx);
+      };
+      if (oy < oy_lo || oy >= oy_hi) {
+        for (std::int64_t ox = 0; ox < wo; ++ox) border(ox);
+        continue;
       }
+      for (std::int64_t ox = 0; ox < ox_lo; ++ox) border(ox);
+      const std::int64_t first = iy0 * w + ox_lo * s - p.pad;
+      const auto idx0 = static_cast<std::int32_t>(first);
+      float* y_run = y_row + ox_lo;
+      std::int32_t* am_run = kArgmax ? am_row + ox_lo : nullptr;
+      if constexpr (kK > 0) {
+        pool_row_s2<kK, kArgmax, V>(plane + first, w, idx0, ox_hi - ox_lo,
+                                    y_run, am_run);
+      } else {
+        pool_row<kArgmax>(plane + first, w, k, s, idx0, ox_hi - ox_lo, y_run,
+                          am_run);
+      }
+      for (std::int64_t ox = ox_hi; ox < wo; ++ox) border(ox);
     }
   }
+}
+
+/// One max-pool call: `planes` contiguous h x w planes of x into y, and
+/// the argmax into am unless it is null.
+struct PoolArgs {
+  const float* x;
+  std::int64_t planes;
+  std::int64_t h;
+  std::int64_t w;
+  std::int64_t k;
+  ConvParams p;
+  float* y;
+  std::int32_t* am;
+};
+
+/// The pool's two windows in use get compile-time sizes: 2x2/s2 (the patch
+/// CNN) and 3x3/s2 (the ResNet stem).
+template <bool kArgmax, std::size_t V>
+[[gnu::always_inline]] inline void maxpool_windows(const PoolArgs& a) {
+  if (a.k == 2 && a.p.stride == 2) {
+    maxpool_planes<2, kArgmax, V>(a.x, a.planes, a.h, a.w, a.k, a.p, a.y,
+                                  a.am);
+  } else if (a.k == 3 && a.p.stride == 2) {
+    maxpool_planes<3, kArgmax, V>(a.x, a.planes, a.h, a.w, a.k, a.p, a.y,
+                                  a.am);
+  } else {
+    maxpool_planes<0, kArgmax, V>(a.x, a.planes, a.h, a.w, a.k, a.p, a.y,
+                                  a.am);
+  }
+}
+
+template <std::size_t V>
+[[gnu::always_inline]] inline void maxpool_all(const PoolArgs& a) {
+  if (a.am != nullptr) {
+    maxpool_windows<true, V>(a);
+  } else {
+    maxpool_windows<false, V>(a);
+  }
+}
+
+// One version per micro-architecture level, like block_kernel. Blocks of
+// 8 lanes (one ymm) beat 16 on the patch CNN's 12- and 6-wide rows.
+#if defined(EDGETRAIN_KERNEL_VERSIONS)
+[[gnu::target("arch=x86-64-v4")]] void maxpool_kernel(const PoolArgs& a) {
+  maxpool_all<8>(a);
+}
+[[gnu::target("arch=x86-64-v3")]] void maxpool_kernel(const PoolArgs& a) {
+  maxpool_all<8>(a);
+}
+[[gnu::target("default")]] void maxpool_kernel(const PoolArgs& a) {
+  maxpool_all<4>(a);
+}
+#else
+void maxpool_kernel(const PoolArgs& a) { maxpool_all<4>(a); }
+#endif
+
+Shape pooled_shape(const Tensor& x, std::int64_t k, const ConvParams& p) {
+  check(x.shape().rank() == 4, "maxpool2d: x must be NCHW");
+  return Shape{x.shape()[0], x.shape()[1],
+               conv_out_size(x.shape()[2], k, p.stride, p.pad),
+               conv_out_size(x.shape()[3], k, p.stride, p.pad)};
+}
+
+}  // namespace
+
+MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t k,
+                                const ConvParams& p) {
+  MaxPoolResult result;
+  result.y = Tensor::empty(pooled_shape(x, k, p));
+  result.argmax.resize(static_cast<std::size_t>(result.y.numel()));
+  maxpool_kernel({x.data(), x.shape()[0] * x.shape()[1], x.shape()[2],
+                  x.shape()[3], k, p, result.y.data(), result.argmax.data()});
   return result;
 }
 
-Tensor maxpool2d_backward(const Tensor& grad_y,
-                          const std::vector<std::int32_t>& argmax,
+Tensor maxpool2d_values(const Tensor& x, std::int64_t k, const ConvParams& p) {
+  Tensor y = Tensor::empty(pooled_shape(x, k, p));
+  maxpool2d_values(x.data(), x.shape()[0] * x.shape()[1], x.shape()[2],
+                   x.shape()[3], k, p, y.data());
+  return y;
+}
+
+void maxpool2d_values(const float* x, std::int64_t planes, std::int64_t h,
+                      std::int64_t w, std::int64_t k, const ConvParams& p,
+                      float* y) {
+  maxpool_kernel({x, planes, h, w, k, p, y, nullptr});
+}
+
+Tensor maxpool2d_backward(const Tensor& grad_y, const PoolArgmax& argmax,
                           const Shape& x_shape) {
   Tensor gx = Tensor::zeros(x_shape);
   const std::int64_t n = grad_y.shape()[0];
@@ -1190,7 +1420,235 @@ LinearGrads linear_backward(const Tensor& grad_y, const Tensor& x,
 
 // ---------------------------------------------------------------------------
 // Batch normalisation
+//
+// Memory-bound: per channel, one pass sums x and x^2 (forward) or gy and
+// gy * xhat (backward) in double, and a second applies the float
+// per-element formula. The sums run in kBnLanes double lanes: element i of
+// each plane goes to lane i mod kBnLanes (a plane's partial last block is
+// padded with zeros, which add nothing), plane after plane, and the lanes
+// are then folded pairwise in a fixed order. A statistic therefore depends
+// on the tensor's shape alone: not on the pool size (a channel is one
+// task) nor on the version that runs (each holds the same lanes, in
+// registers of its width). The section is compiled without FP
+// contraction, so the per-element formulas and the scalar statistics are
+// the same float and double operations in every version (DESIGN.md
+// section 8).
 // ---------------------------------------------------------------------------
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+namespace {
+
+constexpr std::int64_t kBnLanes = 16;
+
+/// Two kBnLanes-lane double sums, a += f and b += f * g, held as vectors of
+/// W lanes. Lane l of a block of kBnLanes floats is always lane l of a sum.
+template <std::size_t W>
+struct LaneSums {
+  typedef float VecF __attribute__((vector_size(4 * W)));
+  typedef double VecD __attribute__((vector_size(8 * W)));
+  static constexpr std::size_t kVecs = static_cast<std::size_t>(kBnLanes) / W;
+
+  VecD a[kVecs] = {};
+  VecD b[kVecs] = {};
+
+  static void load(const float* src, VecF (&v)[kVecs]) {
+    for (std::size_t i = 0; i < kVecs; ++i) {
+      std::memcpy(&v[i], src + i * W, sizeof(VecF));
+    }
+  }
+
+  void add(const VecF (&f)[kVecs], const VecF (&g)[kVecs]) {
+    for (std::size_t i = 0; i < kVecs; ++i) {
+      const VecD fd = __builtin_convertvector(f[i], VecD);
+      a[i] += fd;
+      b[i] += fd * __builtin_convertvector(g[i], VecD);
+    }
+  }
+
+  /// lane[l] += lane[l + half] for half = kBnLanes / 2, ..., 1.
+  static double fold(const VecD (&acc)[kVecs]) {
+    double lanes[kBnLanes];
+    std::memcpy(lanes, acc, sizeof lanes);
+    for (std::int64_t half = kBnLanes / 2; half > 0; half /= 2) {
+      for (std::int64_t l = 0; l < half; ++l) lanes[l] += lanes[l + half];
+    }
+    return lanes[0];
+  }
+};
+
+/// One batch-norm call: n images of c channels of `area` floats.
+struct BnArgs {
+  std::int64_t n;
+  std::int64_t c;
+  std::int64_t area;
+  const float* x;
+  const float* gamma;
+};
+
+struct BnForwardArgs : BnArgs {
+  const float* beta;
+  float* y;
+  float* mean;
+  float* inv_std;
+  float* running_mean;  // null: running statistics left as they are
+  float* running_var;
+  float momentum;
+  float eps;
+};
+
+struct BnBackwardArgs : BnArgs {
+  const float* gy;
+  const float* mean;
+  const float* inv_std;
+  float* gx;
+  float* grad_gamma;
+  float* grad_beta;
+};
+
+template <std::size_t W>
+[[gnu::always_inline]] inline void bn_forward_tiles(const BnForwardArgs& a,
+                                                    std::int64_t c0,
+                                                    std::int64_t c1) {
+  using Sums = LaneSums<W>;
+  const std::int64_t count = a.n * a.area;
+  for (std::int64_t ch = c0; ch < c1; ++ch) {
+    Sums sums;
+    typename Sums::VecF v[Sums::kVecs];
+    for (std::int64_t img = 0; img < a.n; ++img) {
+      const float* src = a.x + (img * a.c + ch) * a.area;
+      std::int64_t i = 0;
+      for (; i + kBnLanes <= a.area; i += kBnLanes) {
+        Sums::load(src + i, v);
+        sums.add(v, v);
+      }
+      if (i < a.area) {
+        float tail[kBnLanes] = {};
+        std::memcpy(tail, src + i,
+                    static_cast<std::size_t>(a.area - i) * sizeof(float));
+        Sums::load(tail, v);
+        sums.add(v, v);
+      }
+    }
+    const double mu = Sums::fold(sums.a) / static_cast<double>(count);
+    const double var =
+        Sums::fold(sums.b) / static_cast<double>(count) - mu * mu;
+    const double istd = 1.0 / std::sqrt(std::max(var, 0.0) + a.eps);
+    a.mean[ch] = static_cast<float>(mu);
+    a.inv_std[ch] = static_cast<float>(istd);
+    const float scale = static_cast<float>(istd) * a.gamma[ch];
+    const float shift = a.beta[ch] - static_cast<float>(mu) * scale;
+    for (std::int64_t img = 0; img < a.n; ++img) {
+      const float* src = a.x + (img * a.c + ch) * a.area;
+      float* dst = a.y + (img * a.c + ch) * a.area;
+      for (std::int64_t i = 0; i < a.area; ++i) dst[i] = src[i] * scale + shift;
+    }
+    if (a.running_mean != nullptr) {
+      a.running_mean[ch] = (1.0F - a.momentum) * a.running_mean[ch] +
+                           a.momentum * static_cast<float>(mu);
+      a.running_var[ch] = (1.0F - a.momentum) * a.running_var[ch] +
+                          a.momentum * static_cast<float>(var);
+    }
+  }
+}
+
+template <std::size_t W>
+[[gnu::always_inline]] inline void bn_backward_tiles(const BnBackwardArgs& a,
+                                                     std::int64_t c0,
+                                                     std::int64_t c1) {
+  using Sums = LaneSums<W>;
+  const std::int64_t count = a.n * a.area;
+  for (std::int64_t ch = c0; ch < c1; ++ch) {
+    const float mu = a.mean[ch];
+    const float istd = a.inv_std[ch];
+    const float g = a.gamma[ch];
+    Sums sums;
+    typename Sums::VecF gv[Sums::kVecs];
+    typename Sums::VecF xv[Sums::kVecs];
+    for (std::int64_t img = 0; img < a.n; ++img) {
+      const float* src = a.x + (img * a.c + ch) * a.area;
+      const float* gsrc = a.gy + (img * a.c + ch) * a.area;
+      std::int64_t i = 0;
+      for (; i + kBnLanes <= a.area; i += kBnLanes) {
+        Sums::load(gsrc + i, gv);
+        Sums::load(src + i, xv);
+        for (auto& xhat : xv) xhat = (xhat - mu) * istd;
+        sums.add(gv, xv);
+      }
+      if (i < a.area) {
+        float gtail[kBnLanes] = {};
+        float xtail[kBnLanes] = {};
+        for (std::int64_t j = 0; j < a.area - i; ++j) {
+          gtail[j] = gsrc[i + j];
+          xtail[j] = (src[i + j] - mu) * istd;
+        }
+        Sums::load(gtail, gv);
+        Sums::load(xtail, xv);
+        sums.add(gv, xv);
+      }
+    }
+    const double sum_gy = Sums::fold(sums.a);
+    const double sum_gy_xhat = Sums::fold(sums.b);
+    a.grad_gamma[ch] = static_cast<float>(sum_gy_xhat);
+    a.grad_beta[ch] = static_cast<float>(sum_gy);
+    const float mean_gy =
+        static_cast<float>(sum_gy / static_cast<double>(count));
+    const float mean_gy_xhat =
+        static_cast<float>(sum_gy_xhat / static_cast<double>(count));
+    for (std::int64_t img = 0; img < a.n; ++img) {
+      const float* src = a.x + (img * a.c + ch) * a.area;
+      const float* gsrc = a.gy + (img * a.c + ch) * a.area;
+      float* dst = a.gx + (img * a.c + ch) * a.area;
+      for (std::int64_t i = 0; i < a.area; ++i) {
+        const float xhat = (src[i] - mu) * istd;
+        dst[i] = g * istd * (gsrc[i] - mean_gy - xhat * mean_gy_xhat);
+      }
+    }
+  }
+}
+
+// One version per micro-architecture level, like block_kernel: 16 lanes
+// are two zmm, four ymm or eight xmm registers per sum.
+#if defined(EDGETRAIN_KERNEL_VERSIONS)
+[[gnu::target("arch=x86-64-v4")]] void bn_forward_channels(
+    const BnForwardArgs& a, std::int64_t c0, std::int64_t c1) {
+  bn_forward_tiles<8>(a, c0, c1);
+}
+[[gnu::target("arch=x86-64-v3")]] void bn_forward_channels(
+    const BnForwardArgs& a, std::int64_t c0, std::int64_t c1) {
+  bn_forward_tiles<4>(a, c0, c1);
+}
+[[gnu::target("default")]] void bn_forward_channels(
+    const BnForwardArgs& a, std::int64_t c0, std::int64_t c1) {
+  bn_forward_tiles<2>(a, c0, c1);
+}
+[[gnu::target("arch=x86-64-v4")]] void bn_backward_channels(
+    const BnBackwardArgs& a, std::int64_t c0, std::int64_t c1) {
+  bn_backward_tiles<8>(a, c0, c1);
+}
+[[gnu::target("arch=x86-64-v3")]] void bn_backward_channels(
+    const BnBackwardArgs& a, std::int64_t c0, std::int64_t c1) {
+  bn_backward_tiles<4>(a, c0, c1);
+}
+[[gnu::target("default")]] void bn_backward_channels(
+    const BnBackwardArgs& a, std::int64_t c0, std::int64_t c1) {
+  bn_backward_tiles<2>(a, c0, c1);
+}
+#else
+void bn_forward_channels(const BnForwardArgs& a, std::int64_t c0,
+                         std::int64_t c1) {
+  bn_forward_tiles<2>(a, c0, c1);
+}
+void bn_backward_channels(const BnBackwardArgs& a, std::int64_t c0,
+                          std::int64_t c1) {
+  bn_backward_tiles<2>(a, c0, c1);
+}
+#endif
+
+}  // namespace
 
 BatchNormState batchnorm2d_forward(const Tensor& x, const Tensor& gamma,
                                    const Tensor& beta, Tensor& running_mean,
@@ -1199,52 +1657,32 @@ BatchNormState batchnorm2d_forward(const Tensor& x, const Tensor& gamma,
   const std::int64_t n = x.shape()[0];
   const std::int64_t c = x.shape()[1];
   const std::int64_t area = x.shape()[2] * x.shape()[3];
-  const std::int64_t count = n * area;
 
   BatchNormState state;
   state.y = Tensor::empty(x.shape());
   state.mean = Tensor::empty(Shape{c});
   state.inv_std = Tensor::empty(Shape{c});
 
-  const float* xp = x.data();
-  float* yp = state.y.data();
-  float* mean = state.mean.data();
-  float* inv_std = state.inv_std.data();
-  const float* g = gamma.data();
-  const float* bt = beta.data();
+  BnForwardArgs args{};
+  args.n = n;
+  args.c = c;
+  args.area = area;
+  args.x = x.data();
+  args.gamma = gamma.data();
+  args.beta = beta.data();
+  args.y = state.y.data();
+  args.mean = state.mean.data();
+  args.inv_std = state.inv_std.data();
+  args.running_mean = update_running ? running_mean.data() : nullptr;
+  args.running_var = update_running ? running_var.data() : nullptr;
+  args.momentum = momentum;
+  args.eps = eps;
 
-  EDGETRAIN_GUARD_DISJOINT("batchnorm2d_forward", {xp, n * c * area},
-                           {yp, n * c * area}, {mean, c}, {inv_std, c});
+  EDGETRAIN_GUARD_DISJOINT("batchnorm2d_forward", {args.x, n * c * area},
+                           {args.y, n * c * area}, {args.mean, c},
+                           {args.inv_std, c});
   parallel_for(0, c, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-      double sum = 0.0;
-      double sumsq = 0.0;
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* plane = xp + (img * c + ch) * area;
-        for (std::int64_t i = 0; i < area; ++i) {
-          sum += plane[i];
-          sumsq += static_cast<double>(plane[i]) * plane[i];
-        }
-      }
-      const double mu = sum / static_cast<double>(count);
-      const double var = sumsq / static_cast<double>(count) - mu * mu;
-      const double istd = 1.0 / std::sqrt(std::max(var, 0.0) + eps);
-      mean[ch] = static_cast<float>(mu);
-      inv_std[ch] = static_cast<float>(istd);
-      const float scale = static_cast<float>(istd) * g[ch];
-      const float shift = bt[ch] - static_cast<float>(mu) * scale;
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* src = xp + (img * c + ch) * area;
-        float* dst = yp + (img * c + ch) * area;
-        for (std::int64_t i = 0; i < area; ++i) dst[i] = src[i] * scale + shift;
-      }
-      if (update_running) {
-        running_mean.data()[ch] = (1.0F - momentum) * running_mean.data()[ch] +
-                                  momentum * static_cast<float>(mu);
-        running_var.data()[ch] = (1.0F - momentum) * running_var.data()[ch] +
-                                 momentum * static_cast<float>(var);
-      }
-    }
+    bn_forward_channels(args, c0, c1);
   });
   return state;
 }
@@ -1278,57 +1716,37 @@ BatchNormGrads batchnorm2d_backward(const Tensor& grad_y, const Tensor& x,
   const std::int64_t n = x.shape()[0];
   const std::int64_t c = x.shape()[1];
   const std::int64_t area = x.shape()[2] * x.shape()[3];
-  const std::int64_t count = n * area;
 
   BatchNormGrads grads;
   grads.grad_x = Tensor::empty(x.shape());
-  grads.grad_gamma = Tensor::zeros(Shape{c});
-  grads.grad_beta = Tensor::zeros(Shape{c});
+  grads.grad_gamma = Tensor::empty(Shape{c});
+  grads.grad_beta = Tensor::empty(Shape{c});
 
-  const float* xp = x.data();
-  const float* gy = grad_y.data();
-  float* gx = grads.grad_x.data();
-  float* gg = grads.grad_gamma.data();
-  float* gb = grads.grad_beta.data();
+  BnBackwardArgs args{};
+  args.n = n;
+  args.c = c;
+  args.area = area;
+  args.x = x.data();
+  args.gamma = gamma.data();
+  args.gy = grad_y.data();
+  args.mean = state.mean.data();
+  args.inv_std = state.inv_std.data();
+  args.gx = grads.grad_x.data();
+  args.grad_gamma = grads.grad_gamma.data();
+  args.grad_beta = grads.grad_beta.data();
 
-  EDGETRAIN_GUARD_DISJOINT("batchnorm2d_backward", {xp, n * c * area},
-                           {gy, n * c * area}, {gx, n * c * area}, {gg, c},
-                           {gb, c});
+  EDGETRAIN_GUARD_DISJOINT("batchnorm2d_backward", {args.x, n * c * area},
+                           {args.gy, n * c * area}, {args.gx, n * c * area},
+                           {args.grad_gamma, c}, {args.grad_beta, c});
   parallel_for(0, c, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-      const float mu = state.mean.data()[ch];
-      const float istd = state.inv_std.data()[ch];
-      const float g = gamma.data()[ch];
-      double sum_gy = 0.0;
-      double sum_gy_xhat = 0.0;
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* src = xp + (img * c + ch) * area;
-        const float* gsrc = gy + (img * c + ch) * area;
-        for (std::int64_t i = 0; i < area; ++i) {
-          const float xhat = (src[i] - mu) * istd;
-          sum_gy += gsrc[i];
-          sum_gy_xhat += static_cast<double>(gsrc[i]) * xhat;
-        }
-      }
-      gg[ch] = static_cast<float>(sum_gy_xhat);
-      gb[ch] = static_cast<float>(sum_gy);
-      const float mean_gy =
-          static_cast<float>(sum_gy / static_cast<double>(count));
-      const float mean_gy_xhat =
-          static_cast<float>(sum_gy_xhat / static_cast<double>(count));
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* src = xp + (img * c + ch) * area;
-        const float* gsrc = gy + (img * c + ch) * area;
-        float* dst = gx + (img * c + ch) * area;
-        for (std::int64_t i = 0; i < area; ++i) {
-          const float xhat = (src[i] - mu) * istd;
-          dst[i] = g * istd * (gsrc[i] - mean_gy - xhat * mean_gy_xhat);
-        }
-      }
-    }
+    bn_backward_channels(args, c0, c1);
   });
   return grads;
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 // ---------------------------------------------------------------------------
 // Loss

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -127,16 +129,48 @@ void col2im(const float* col, std::int64_t channels, std::int64_t h,
 /// grad_x = grad_y * (y > 0). Uses the *output* (valid since y>0 iff x>0).
 [[nodiscard]] Tensor relu_backward(const Tensor& grad_y, const Tensor& y);
 
+/// std::allocator whose value-less construct leaves an element unwritten,
+/// so a vector of ints can be sized without a zero fill that its producer
+/// overwrites anyway.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  explicit DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+  template <typename U>
+  void construct(U* ptr) noexcept {
+    ::new (static_cast<void*>(ptr)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* ptr, Args&&... args) {
+    ::new (static_cast<void*>(ptr)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Flat input offset (within its plane) of each max-pool output element.
+using PoolArgmax = std::vector<std::int32_t, DefaultInitAllocator<std::int32_t>>;
+
 struct MaxPoolResult {
   Tensor y;
-  std::vector<std::int32_t> argmax;  // flat input offset per output element
+  PoolArgmax argmax;
 };
 
 /// Max pooling with kernel @p k, stride and pad from @p p; -inf padding.
+/// Each window is scanned row by row and keeps its first strict maximum:
+/// NaN never wins, a window with nothing above -inf gives -inf and index 0.
 [[nodiscard]] MaxPoolResult maxpool2d_forward(const Tensor& x, std::int64_t k,
                                               const ConvParams& p);
+/// The y of maxpool2d_forward, bit for bit, without the argmax: for
+/// forwards nothing differentiates (recompute visits, inference).
+[[nodiscard]] Tensor maxpool2d_values(const Tensor& x, std::int64_t k,
+                                      const ConvParams& p);
+/// maxpool2d_values over @p planes contiguous h x w planes of @p x into
+/// @p y (planes x ho x wo).
+void maxpool2d_values(const float* x, std::int64_t planes, std::int64_t h,
+                      std::int64_t w, std::int64_t k, const ConvParams& p,
+                      float* y);
 [[nodiscard]] Tensor maxpool2d_backward(const Tensor& grad_y,
-                                        const std::vector<std::int32_t>& argmax,
+                                        const PoolArgmax& argmax,
                                         const Shape& x_shape);
 
 /// Global average pool: x[N,C,H,W] -> y[N,C].

@@ -28,4 +28,14 @@ inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ULL;
   return out;
 }
 
+/// A uniform double in (0, 1] from the next step of @p state: the draw's
+/// top 53 bits, plus one so that log() never sees 0. Fully specified, unlike
+/// a std:: distribution, whose algorithm is implementation-defined and
+/// would tie replay fingerprints to a standard-library version.
+[[nodiscard]] constexpr double splitmix64_uniform01(
+    std::uint64_t& state) noexcept {
+  return (static_cast<double>(splitmix64_next(state) >> 11) + 1.0) *
+         (1.0 / 9007199254740992.0);
+}
+
 }  // namespace edgetrain

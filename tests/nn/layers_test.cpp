@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <vector>
 
+#include "core/executor.hpp"
+#include "core/revolve.hpp"
+#include "models/small_nets.hpp"
+#include "nn/chain_runner.hpp"
 #include "nn/gradcheck.hpp"
+#include "tensor/ops.hpp"
 
 namespace edgetrain::nn {
 namespace {
@@ -271,6 +278,43 @@ TEST(BatchNormLayer, EvalModeUsesRunningStats) {
   Tensor y1 = layer.forward(x, eval);
   Tensor y2 = layer.forward(x, eval);
   EXPECT_EQ(Tensor::max_abs_diff(y1, y2), 0.0F);  // deterministic in eval
+}
+
+TEST(PatchCnn, RevolveGradientsBitIdenticalToFullStorage) {
+  // The in-situ student at its training shape (24x24 patches, batch 16,
+  // 2 free slots): Revolve re-runs forwards that save nothing, so max-pool
+  // takes its values-only path there and BatchNorm recomputes its
+  // statistics; every gradient must still equal full storage bit for bit.
+  const auto gradients = [](bool revolve) {
+    std::mt19937 rng(191);
+    LayerChain chain = models::build_patch_cnn(24, 1, 8, 4, rng);
+    const Tensor x = Tensor::randn(Shape{16, 1, 24, 24}, rng);
+    std::vector<std::int32_t> labels;
+    for (std::int32_t i = 0; i < 16; ++i) labels.push_back(i % 4);
+    const core::Schedule schedule =
+        revolve ? core::revolve::make_schedule(chain.size(), 2)
+                : core::full_storage_schedule(chain.size());
+    LayerChainRunner runner(chain, Phase::Train);
+    runner.begin_pass();
+    const core::ExecutionResult result = core::ScheduleExecutor{}.run(
+        runner, schedule, x, [&](const Tensor& logits) {
+          const ops::SoftmaxXentResult r =
+              ops::softmax_xent_forward(logits, labels);
+          return ops::softmax_xent_backward(r.probs, labels);
+        });
+    std::vector<Tensor> grads{result.input_grad};
+    for (const ParamRef& p : chain.params()) grads.push_back(p.grad->clone());
+    return grads;
+  };
+  const std::vector<Tensor> full = gradients(false);
+  const std::vector<Tensor> revolve = gradients(true);
+  ASSERT_EQ(full.size(), revolve.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i].numel(), revolve[i].numel());
+    EXPECT_EQ(std::memcmp(full[i].data(), revolve[i].data(), full[i].bytes()),
+              0)
+        << "gradient " << i;
+  }
 }
 
 }  // namespace

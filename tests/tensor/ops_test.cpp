@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
+
+#include "tensor/parallel.hpp"
 
 namespace edgetrain::ops {
 namespace {
@@ -218,6 +222,62 @@ TEST(Im2Col, RoundTripAdjoint) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+TEST(Im2Col, StridedMatchesNaiveLoop) {
+  // The ResNet's strided lowerings (7x7/s2/p3 stem, 3x3/s2/p1 downsample,
+  // 1x1/s2 projection), stride 3, and stride-1 "same" convs (output as
+  // wide as the input, one copy per row), on odd sizes: im2col equals a
+  // per-pixel bounds-checked copy and col2im a per-pixel accumulation in
+  // (channel, ki, kj, oy, ox) order, bit for bit.
+  struct Case {
+    std::int64_t h, w, k, stride, pad;
+  };
+  const Case cases[] = {{23, 19, 7, 2, 3}, {15, 17, 3, 2, 1}, {13, 11, 1, 2, 0},
+                        {9, 7, 3, 1, 1},   {10, 13, 3, 3, 1}, {5, 3, 7, 2, 3},
+                        {2, 2, 3, 2, 1},   {6, 11, 5, 1, 2},  {1, 1, 3, 1, 1},
+                        {7, 2, 3, 1, 1},   {5, 9, 3, 1, 0}};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  std::mt19937 rng(29);
+  for (const Case& cs : cases) {
+    const std::int64_t ch = 3;
+    const ConvParams p{cs.stride, cs.pad};
+    const std::int64_t ho = conv_out_size(cs.h, cs.k, p.stride, p.pad);
+    const std::int64_t wo = conv_out_size(cs.w, cs.k, p.stride, p.pad);
+    const std::int64_t rows = ch * cs.k * cs.k;
+    const Tensor x = Tensor::randn(Shape{ch, cs.h, cs.w}, rng);
+    const Tensor c = Tensor::randn(Shape{rows, ho * wo}, rng);
+    Tensor want_col = Tensor::empty(Shape{rows, ho * wo});
+    Tensor want_x = Tensor::randn(Shape{ch, cs.h, cs.w}, rng);
+    Tensor got_x = want_x.clone();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int64_t chan = r / (cs.k * cs.k);
+      const std::int64_t ki = (r / cs.k) % cs.k;
+      const std::int64_t kj = r % cs.k;
+      for (std::int64_t oy = 0; oy < ho; ++oy) {
+        for (std::int64_t ox = 0; ox < wo; ++ox) {
+          const std::int64_t iy = oy * p.stride - p.pad + ki;
+          const std::int64_t ix = ox * p.stride - p.pad + kj;
+          const bool in = iy >= 0 && iy < cs.h && ix >= 0 && ix < cs.w;
+          const std::int64_t at = (chan * cs.h + iy) * cs.w + ix;
+          want_col.data()[r * ho * wo + oy * wo + ox] =
+              in ? x.data()[at] : 0.0F;
+          if (in) want_x.data()[at] += c.data()[r * ho * wo + oy * wo + ox];
+        }
+      }
+    }
+    Tensor got_col = Tensor::full(Shape{rows, ho * wo}, 5.0F);
+    im2col(x.data(), ch, cs.h, cs.w, cs.k, cs.k, p, got_col.data());
+    col2im(c.data(), ch, cs.h, cs.w, cs.k, cs.k, p, got_x.data());
+    for (std::int64_t i = 0; i < got_col.numel(); ++i) {
+      ASSERT_EQ(bits(got_col.data()[i]), bits(want_col.data()[i]))
+          << "im2col " << i << " of k=" << cs.k << " s=" << cs.stride;
+    }
+    for (std::int64_t i = 0; i < got_x.numel(); ++i) {
+      ASSERT_EQ(bits(got_x.data()[i]), bits(want_x.data()[i]))
+          << "col2im " << i << " of k=" << cs.k << " s=" << cs.stride;
+    }
+  }
+}
+
 TEST(Relu, ForwardAndBackward) {
   Tensor x = Tensor::from_values({-1.0F, 0.0F, 2.0F});
   Tensor y = relu_forward(x);
@@ -316,31 +376,56 @@ TEST(MaxPool, ForwardMatchesNaiveOnBordersTiesAndNegInf) {
   struct Case {
     std::int64_t h, w, k, stride, pad;
   };
-  const Case cases[] = {
+  std::vector<Case> cases = {
       {7, 9, 3, 2, 1},  {8, 8, 3, 2, 1}, {6, 7, 2, 2, 0},   {5, 5, 3, 1, 1},
       {9, 6, 3, 2, 0},  {11, 10, 5, 3, 2}, {2, 3, 3, 1, 1}, {1, 1, 3, 2, 1},
       {12, 13, 4, 3, 2},
   };
+  // Every k in {2, 3}, stride in {1, 2} and pad in {0, 1}, on sizes whose
+  // interior rows are shorter than, equal to and longer than a vector
+  // block, odd and even: the patch CNN's 24 and 12, the stem's 56.
+  const std::pair<std::int64_t, std::int64_t> sizes[] = {
+      {24, 24}, {12, 12}, {56, 56}, {7, 9}, {11, 37}, {5, 6}, {3, 3}, {2, 2}};
+  for (const auto& [h, w] : sizes) {
+    for (const std::int64_t k : {2, 3}) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (const std::int64_t pad : {0, 1}) {
+          if (h + 2 * pad >= k && w + 2 * pad >= k) {
+            cases.push_back({h, w, k, stride, pad});
+          }
+        }
+      }
+    }
+  }
   const float inf = std::numeric_limits<float>::infinity();
-  // A small value set makes ties common; -inf entries (and one plane that
-  // is entirely -inf) exercise the windows whose max never moves.
-  const float values[] = {-1.0F, 0.0F, 2.0F, -inf};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // A small value set makes ties common (signed zeros among them, which
+  // only a bit comparison tells apart); -inf and NaN entries (and one plane
+  // that is entirely -inf) exercise the windows whose max never moves.
+  const float values[] = {-1.0F, 0.0F, -0.0F, 2.0F, -inf, nan};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
   std::mt19937 rng(41);
   for (const Case& cs : cases) {
     Tensor x = Tensor::empty(Shape{2, 3, cs.h, cs.w});
     for (std::int64_t i = 0; i < x.numel(); ++i) {
-      x.data()[i] = values[rng() % 4];
+      x.data()[i] = values[rng() % 6];
     }
     for (std::int64_t i = 0; i < cs.h * cs.w; ++i) x.data()[i] = -inf;
     const ConvParams p{cs.stride, cs.pad};
     const MaxPoolResult got = maxpool2d_forward(x, cs.k, p);
     const MaxPoolResult want = naive(x, cs.k, p);
+    const Tensor values_only = maxpool2d_values(x, cs.k, p);
     ASSERT_EQ(got.y.shape(), want.y.shape());
+    ASSERT_EQ(values_only.shape(), want.y.shape());
     EXPECT_EQ(got.argmax, want.argmax)
         << cs.h << "x" << cs.w << " k=" << cs.k << " s=" << cs.stride
         << " p=" << cs.pad;
     for (std::int64_t i = 0; i < got.y.numel(); ++i) {
-      ASSERT_EQ(got.y.data()[i], want.y.data()[i]) << "output " << i;
+      ASSERT_EQ(bits(got.y.data()[i]), bits(want.y.data()[i]))
+          << "output " << i << " of " << cs.h << "x" << cs.w << " k=" << cs.k
+          << " s=" << cs.stride << " p=" << cs.pad;
+      ASSERT_EQ(bits(values_only.data()[i]), bits(want.y.data()[i]))
+          << "values-only output " << i;
     }
   }
 }
@@ -482,6 +567,187 @@ TEST(BatchNorm, BackwardNumericGradient) {
     EXPECT_NEAR(grads.grad_x.at(idx), (loss(xp) - loss(xm)) / (2.0 * eps),
                 5e-2);
   }
+}
+
+// Shapes of the in-situ student ([16,8,24,24]), the ResNet stem
+// ([1,64,56,56]) and its last stage ([4,512,4,4]), a 1x1 plane, and areas
+// that are not a multiple of the 16 summation lanes (49, 196, 15, 7).
+const Shape kBnShapes[] = {
+    Shape{16, 8, 24, 24}, Shape{1, 64, 56, 56}, Shape{4, 512, 4, 4},
+    Shape{2, 3, 1, 1},    Shape{3, 5, 7, 7},    Shape{2, 4, 14, 14},
+    Shape{5, 2, 3, 5},    Shape{1, 3, 1, 7}};
+
+struct BnInputs {
+  Tensor x;
+  Tensor gy;
+  Tensor gamma;
+  Tensor beta;
+};
+
+BnInputs bn_inputs(const Shape& shape, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const std::int64_t c = shape[1];
+  BnInputs in;
+  // An offset mean, so the statistics see cancellation as real
+  // activations do.
+  in.x = Tensor::randn(shape, rng, 2.0F);
+  for (std::int64_t i = 0; i < in.x.numel(); ++i) in.x.data()[i] += 0.75F;
+  in.gy = Tensor::randn(shape, rng);
+  in.gamma = Tensor::uniform(Shape{c}, rng, 0.5F, 1.5F);
+  in.beta = Tensor::randn(Shape{c}, rng, 0.2F);
+  return in;
+}
+
+TEST(BatchNorm, ForwardAndBackwardMatchLongDoubleReference) {
+  // Reference: two-pass long-double statistics and exact formulas. Stated
+  // tolerance, relative to each quantity's scale: the kernels round the
+  // statistics to float and evaluate y and grad_x in float, a few float
+  // ulps (2^-24 ~ 6e-8) per operation, so 2e-6 of the scale bounds them
+  // with room while still catching a dropped lane or tail.
+  constexpr long double kTol = 2e-6L;
+  constexpr float kEps = 1e-5F;
+  for (const Shape& shape : kBnShapes) {
+    const BnInputs in = bn_inputs(shape, 59);
+    const std::int64_t n = shape[0];
+    const std::int64_t c = shape[1];
+    const std::int64_t area = shape[2] * shape[3];
+    const auto count = static_cast<long double>(n * area);
+    Tensor rm = Tensor::zeros(Shape{c});
+    Tensor rv = Tensor::full(Shape{c}, 1.0F);
+    const BatchNormState state = batchnorm2d_forward(
+        in.x, in.gamma, in.beta, rm, rv, 0.1F, kEps, false);
+    const BatchNormGrads grads =
+        batchnorm2d_backward(in.gy, in.x, in.gamma, state);
+    const auto at = [&](std::int64_t img, std::int64_t ch, std::int64_t i) {
+      return (img * c + ch) * area + i;
+    };
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      long double mean = 0.0L;
+      for (std::int64_t img = 0; img < n; ++img) {
+        for (std::int64_t i = 0; i < area; ++i) mean += in.x.data()[at(img, ch, i)];
+      }
+      mean /= count;
+      long double var = 0.0L;
+      for (std::int64_t img = 0; img < n; ++img) {
+        for (std::int64_t i = 0; i < area; ++i) {
+          const long double d = in.x.data()[at(img, ch, i)] - mean;
+          var += d * d;
+        }
+      }
+      var /= count;
+      const long double istd = 1.0L / std::sqrt(var + kEps);
+      const long double g = in.gamma.data()[ch];
+      const long double b = in.beta.data()[ch];
+      ASSERT_NEAR(state.mean.data()[ch], mean, kTol * (std::fabs(mean) + 1.0L))
+          << shape.to_string() << " channel " << ch;
+      ASSERT_NEAR(state.inv_std.data()[ch], istd, kTol * istd)
+          << shape.to_string() << " channel " << ch;
+      // Backward against the same float statistics the kernel was given.
+      const long double mu_f = state.mean.data()[ch];
+      const long double istd_f = state.inv_std.data()[ch];
+      long double sum_gy = 0.0L;
+      long double sum_gy_xhat = 0.0L;
+      long double scale_gy = 0.0L;
+      long double scale_gy_xhat = 0.0L;
+      for (std::int64_t img = 0; img < n; ++img) {
+        for (std::int64_t i = 0; i < area; ++i) {
+          const long double gy = in.gy.data()[at(img, ch, i)];
+          const long double xhat = (in.x.data()[at(img, ch, i)] - mu_f) * istd_f;
+          sum_gy += gy;
+          sum_gy_xhat += gy * xhat;
+          scale_gy += std::fabs(gy);
+          scale_gy_xhat += std::fabs(gy * xhat);
+        }
+      }
+      ASSERT_NEAR(grads.grad_beta.data()[ch], sum_gy, kTol * scale_gy)
+          << shape.to_string() << " channel " << ch;
+      ASSERT_NEAR(grads.grad_gamma.data()[ch], sum_gy_xhat,
+                  kTol * scale_gy_xhat)
+          << shape.to_string() << " channel " << ch;
+      for (std::int64_t img = 0; img < n; ++img) {
+        for (std::int64_t i = 0; i < area; ++i) {
+          const std::int64_t e = at(img, ch, i);
+          const long double xv = in.x.data()[e];
+          const long double y = (xv - mean) * istd * g + b;
+          ASSERT_NEAR(state.y.data()[e], y,
+                      kTol * (std::fabs((xv - mean) * istd * g) + std::fabs(b) +
+                              std::fabs(mean * istd * g) + 1.0L))
+              << shape.to_string() << " y " << e;
+          const long double xhat = (xv - mu_f) * istd_f;
+          const long double mean_gy = sum_gy / count;
+          const long double mean_gy_xhat = sum_gy_xhat / count;
+          const long double gx = g * istd_f *
+                                 (in.gy.data()[e] - mean_gy - xhat * mean_gy_xhat);
+          const long double gx_scale =
+              g * istd_f *
+              (std::fabs(in.gy.data()[e]) + std::fabs(mean_gy) +
+               std::fabs(xhat * mean_gy_xhat));
+          ASSERT_NEAR(grads.grad_x.data()[e], gx, kTol * (gx_scale + 1e-3L))
+              << shape.to_string() << " grad_x " << e;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchNorm, OutputIsScaleShiftOfReturnedStatistics) {
+  // y = x * scale + shift in float, from the returned mean and inv_std, bit
+  // for bit. Products go through a volatile so that no build of this test
+  // contracts one into an FMA the kernel does not use.
+  const auto mul = [](float a, float b) {
+    const volatile float product = a * b;
+    return static_cast<float>(product);
+  };
+  for (const Shape& shape : kBnShapes) {
+    const BnInputs in = bn_inputs(shape, 61);
+    const std::int64_t c = shape[1];
+    const std::int64_t area = shape[2] * shape[3];
+    Tensor rm = Tensor::zeros(Shape{c});
+    Tensor rv = Tensor::full(Shape{c}, 1.0F);
+    const BatchNormState state = batchnorm2d_forward(
+        in.x, in.gamma, in.beta, rm, rv, 0.1F, 1e-5F, true);
+    for (std::int64_t e = 0; e < in.x.numel(); ++e) {
+      const std::int64_t ch = (e / area) % c;
+      const float scale = mul(state.inv_std.data()[ch], in.gamma.data()[ch]);
+      const float shift = in.beta.data()[ch] - mul(state.mean.data()[ch], scale);
+      const float want = mul(in.x.data()[e], scale) + shift;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(state.y.data()[e]),
+                std::bit_cast<std::uint32_t>(want))
+          << shape.to_string() << " element " << e;
+    }
+  }
+}
+
+TEST(BatchNorm, BitIdenticalAcrossPoolSizes) {
+  // A channel is one task and its sums run in fixed lanes, so the pool
+  // size cannot move a bit of any output.
+  const auto run = [](const BnInputs& in) {
+    const std::int64_t c = in.x.shape()[1];
+    Tensor rm = Tensor::zeros(Shape{c});
+    Tensor rv = Tensor::full(Shape{c}, 1.0F);
+    const BatchNormState state = batchnorm2d_forward(
+        in.x, in.gamma, in.beta, rm, rv, 0.1F, 1e-5F, true);
+    const BatchNormGrads grads =
+        batchnorm2d_backward(in.gy, in.x, in.gamma, state);
+    return std::vector<Tensor>{state.y,       state.mean,       state.inv_std,
+                               rm,            rv,               grads.grad_x,
+                               grads.grad_gamma, grads.grad_beta};
+  };
+  for (const Shape& shape : kBnShapes) {
+    const BnInputs in = bn_inputs(shape, 67);
+    ThreadPool::set_global_threads(1);
+    const std::vector<Tensor> want = run(in);
+    for (const unsigned threads : {2U, 3U, 4U}) {
+      ThreadPool::set_global_threads(threads);
+      const std::vector<Tensor> got = run(in);
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        ASSERT_EQ(got[t].numel(), want[t].numel());
+        EXPECT_EQ(std::memcmp(got[t].data(), want[t].data(), got[t].bytes()), 0)
+            << shape.to_string() << " output " << t << " threads " << threads;
+      }
+    }
+  }
+  ThreadPool::set_global_threads(0);
 }
 
 TEST(SoftmaxXent, KnownValuesAndGradient) {
