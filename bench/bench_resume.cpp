@@ -8,12 +8,15 @@
 // to BENCH_resume.json for cross-commit diffing.
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/revolve.hpp"
 #include "models/small_nets.hpp"
+#include "nn/optim.hpp"
 #include "persist/resumable.hpp"
 
 int main() {
@@ -54,9 +57,9 @@ int main() {
     options.snapshot_dir =
         std::string("/tmp/edgetrain_bench_resume/") + config.name;
     options.snapshot_every = 0;  // snapshots only when we ask
-    options.trainer.strategy = nn::CheckpointStrategy::Revolve;
-    options.trainer.free_slots = 3;
-    persist::ResumableTrainer trainer(chain, options);
+    persist::ResumableTrainer trainer(
+        chain, core::revolve::make_schedule(chain.size(), 3),
+        std::make_unique<nn::SGD>(chain.params(), 0.05F, 0.9F), options);
 
     // One real step so optimizer state is warm (momentum tensors non-zero).
     const persist::BatchFn batch = [&](std::mt19937& data_rng,

@@ -3,7 +3,8 @@
 // Demonstrates the core API in ~60 lines:
 //   1. build a network as a LayerChain,
 //   2. pick a Revolve checkpointing schedule for a recompute budget,
-//   3. run training steps through the ScheduleExecutor,
+//   3. run training steps through nn::Trainer, which replays that schedule
+//      with its checkpoints in the chosen slot store,
 //   4. observe that gradients match full storage while peak memory drops.
 //
 // With --async-io the same loop spills checkpoints to disk through the
@@ -37,20 +38,19 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <utility>
 
 #include "calib/calibrate.hpp"
 #include "calib/chain_costs.hpp"
 #include "core/async_slot_store.hpp"
 #include "core/disk_revolve.hpp"
 #include "core/dynprog.hpp"
-#include "core/executor.hpp"
 #include "core/revolve.hpp"
 #include "insitu/quant_classifier.hpp"
 #include "insitu/teacher.hpp"
 #include "models/small_nets.hpp"
-#include "nn/chain_runner.hpp"
 #include "nn/optim.hpp"
-#include "tensor/ops.hpp"
+#include "nn/trainer.hpp"
 
 int main(int argc, char** argv) {
   using namespace edgetrain;
@@ -219,10 +219,11 @@ int main(int argc, char** argv) {
                 slots, net.size(), core::to_string(codec).c_str());
   }
 
-  // 3. Train on random batches of a synthetic 4-class problem.
-  nn::SGD optimizer(net.params(), 0.05F, 0.9F);
-  nn::LayerChainRunner runner(net, nn::Phase::Train);
-  core::ScheduleExecutor executor;
+  // 3. Train on random batches of a synthetic 4-class problem. A null store
+  // keeps the checkpoints in RAM.
+  nn::Trainer trainer(net, std::move(schedule),
+                      std::make_unique<nn::SGD>(net.params(), 0.05F, 0.9F),
+                      std::move(store));
 
   double teacher_us = 0.0;
   int teacher_agree = 0;
@@ -258,29 +259,14 @@ int main(int argc, char** argv) {
       teacher_total += static_cast<int>(teacher_out.size());
     }
 
-    optimizer.zero_grad();
-    runner.begin_pass();
-    float loss = 0.0F;
-    const core::LossGradFn loss_grad = [&](const Tensor& logits) {
-      const ops::SoftmaxXentResult result =
-          ops::softmax_xent_forward(logits, labels);
-      loss = result.loss;
-      return ops::softmax_xent_backward(result.probs, labels);
-    };
-    const core::ExecutionResult result =
-        store != nullptr
-            ? executor.run(runner, schedule, x, loss_grad, *store)
-            : executor.run(runner, schedule, x, loss_grad);
-    optimizer.step();
+    const nn::StepStats stats = trainer.step(x, labels);
 
     if (step % 5 == 0) {
       std::printf("step %2d: loss %.4f, peak step memory %.1f KiB, "
                   "%lld recompute advances\n",
-                  step, loss,
-                  static_cast<double>(result.peak_tracked_bytes -
-                                      result.baseline_bytes) /
-                      1024.0,
-                  static_cast<long long>(result.stats.advances));
+                  step, stats.loss,
+                  static_cast<double>(stats.peak_bytes) / 1024.0,
+                  static_cast<long long>(stats.advances));
     }
   }
   if (quant_teacher != nullptr) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/planner.hpp"
+#include "core/revolve.hpp"
 #include "edge/device.hpp"
 #include "edge/power.hpp"
 #include "edge/scheduler.hpp"
@@ -19,6 +20,7 @@
 #include "models/linear_resnet.hpp"
 #include "models/memory_model.hpp"
 #include "nn/layers.hpp"
+#include "nn/optim.hpp"
 #include "persist/resumable.hpp"
 
 namespace {
@@ -182,12 +184,17 @@ int main() {
   std::filesystem::remove_all(snap_dir);
 
   persist::ResumableOptions persist_options;
-  persist_options.trainer.strategy = nn::CheckpointStrategy::Revolve;
-  persist_options.trainer.free_slots = 2;
-  persist_options.trainer.lr = 0.05F;
   persist_options.snapshot_dir = snap_dir;
   persist_options.snapshot_every = 5;
   persist_options.keep_snapshots = 2;
+  // Every boot trains the same way: Revolve with 2 free slots, SGD.
+  const auto boot_trainer = [&](nn::LayerChain& net,
+                                persist::FaultInjector* fault) {
+    return persist::ResumableTrainer(
+        net, core::revolve::make_schedule(net.size(), 2),
+        std::make_unique<nn::SGD>(net.params(), 0.05F, 0.9F), persist_options,
+        fault);
+  };
 
   const std::uint64_t total_demo_steps = 60;
   const double demo_step_seconds = 0.05;
@@ -199,7 +206,7 @@ int main() {
   {
     nn::LayerChain net = build_demo_net();
     persist::FaultInjector fault;
-    persist::ResumableTrainer trainer(net, persist_options, &fault);
+    persist::ResumableTrainer trainer = boot_trainer(net, &fault);
     (void)trainer.resume();  // nothing on disk: fresh start
 
     const std::uint64_t snap_bytes =
@@ -240,7 +247,7 @@ int main() {
   // Boot 2: power is back. Rebuild everything from scratch and resume.
   {
     nn::LayerChain net = build_demo_net();
-    persist::ResumableTrainer trainer(net, persist_options);
+    persist::ResumableTrainer trainer = boot_trainer(net, nullptr);
     const bool resumed = trainer.resume();
     std::printf("boot 2: %s at step %llu\n",
                 resumed ? "resumed from snapshot" : "fresh start",

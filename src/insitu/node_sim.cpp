@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "core/executor.hpp"
-#include "core/revolve.hpp"
-#include "nn/chain_runner.hpp"
-#include "nn/optim.hpp"
-#include "tensor/ops.hpp"
+#include "insitu/student.hpp"
 
 namespace edgetrain::insitu {
 
@@ -16,17 +12,10 @@ namespace {
 double eval_over_bins(PatchClassifier& model, SceneSimulator& sim,
                       const NodeSimConfig& config) {
   double total = 0.0;
-  const float width = static_cast<float>(config.scene.frame_width);
   for (int bin = 0; bin < config.eval_bins; ++bin) {
-    const float x = width * (static_cast<float>(bin) + 0.5F) /
-                    static_cast<float>(config.eval_bins);
-    PatchDataset eval_data(config.harvest.patch);
-    for (std::int32_t label = 0; label < config.scene.num_classes; ++label) {
-      for (int i = 0; i < config.eval_per_class_per_bin; ++i) {
-        eval_data.add(sim.skewed_patch(label, x, config.harvest.patch), label);
-      }
-    }
-    total += model.evaluate(eval_data);
+    const float x = viewpoint_bin_center(config.scene, bin, config.eval_bins);
+    total += model.evaluate(viewpoint_bin_set(
+        sim, x, config.eval_per_class_per_bin, config.harvest.patch));
   }
   return total / config.eval_bins;
 }
@@ -38,13 +27,8 @@ NodeSimResult run_node_simulation(const NodeSimConfig& config) {
 
   // Cloud-side teacher, delivered to the node once.
   SceneSimulator sim(config.scene);
-  PatchDataset teacher_data(config.harvest.patch);
-  for (std::int32_t label = 0; label < config.scene.num_classes; ++label) {
-    for (int i = 0; i < config.teacher_examples_per_class; ++i) {
-      teacher_data.add(sim.canonical_patch(label, config.harvest.patch),
-                       label);
-    }
-  }
+  const PatchDataset teacher_data = canonical_set(
+      sim, config.teacher_examples_per_class, config.harvest.patch);
   PatchClassifier teacher(config.harvest.patch, config.scene.num_classes,
                           config.classifier_channels, config.seed);
   (void)teacher.train(teacher_data, config.teacher_train);
@@ -93,16 +77,8 @@ NodeSimResult run_node_simulation(const NodeSimConfig& config) {
     if (!data.empty()) {
       const int steps = static_cast<int>(std::min<std::int64_t>(
           report.step_budget, config.max_real_steps_per_hour));
-      nn::SGD optimizer(student.chain().params(), config.student_train.lr,
-                        config.student_train.momentum);
-      nn::LayerChainRunner runner(student.chain(), nn::Phase::Train);
-      core::ScheduleExecutor executor;
-      const core::Schedule schedule =
-          config.student_train.checkpoint_free_slots >= 0
-              ? core::revolve::make_schedule(
-                    student.chain().size(),
-                    config.student_train.checkpoint_free_slots)
-              : core::full_storage_schedule(student.chain().size());
+      nn::Trainer trainer =
+          make_trainer(student.chain(), config.student_train);
 
       const std::size_t batch = std::min<std::size_t>(
           static_cast<std::size_t>(config.student_train.batch_size),
@@ -120,15 +96,7 @@ NodeSimResult run_node_simulation(const NodeSimConfig& config) {
         }
         Tensor x = data.gather(indices);
         const std::vector<std::int32_t> labels = data.gather_labels(indices);
-        optimizer.zero_grad();
-        runner.begin_pass();
-        const core::LossGradFn loss_grad = [&](const Tensor& logits) {
-          const ops::SoftmaxXentResult r =
-              ops::softmax_xent_forward(logits, labels);
-          return ops::softmax_xent_backward(r.probs, labels);
-        };
-        (void)executor.run(runner, schedule, x, loss_grad);
-        optimizer.step();
+        (void)trainer.step(x, labels);
         ++report.steps_run;
       }
     }

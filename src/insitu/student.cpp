@@ -11,13 +11,8 @@ ViewpointExperimentResult run_viewpoint_experiment(
 
   // 1. Cloud-side teacher: canonical-viewpoint training set.
   SceneSimulator sim(config.scene);
-  PatchDataset teacher_data(config.harvest.patch);
-  for (std::int32_t label = 0; label < config.scene.num_classes; ++label) {
-    for (int i = 0; i < config.teacher_examples_per_class; ++i) {
-      teacher_data.add(sim.canonical_patch(label, config.harvest.patch),
-                       label);
-    }
-  }
+  const PatchDataset teacher_data = canonical_set(
+      sim, config.teacher_examples_per_class, config.harvest.patch);
   PatchClassifier teacher(config.harvest.patch, config.scene.num_classes,
                           config.classifier_channels, config.seed);
   result.teacher_train = teacher.train(teacher_data, config.teacher_train);
@@ -44,19 +39,12 @@ ViewpointExperimentResult run_viewpoint_experiment(
   }
 
   // 4. Accuracy across viewpoint bins.
-  const float width = static_cast<float>(config.scene.frame_width);
   double teacher_sum = 0.0;
   double student_sum = 0.0;
   for (int bin = 0; bin < config.eval_bins; ++bin) {
-    const float x =
-        width * (static_cast<float>(bin) + 0.5F) /
-        static_cast<float>(config.eval_bins);
-    PatchDataset eval_data(config.harvest.patch);
-    for (std::int32_t label = 0; label < config.scene.num_classes; ++label) {
-      for (int i = 0; i < config.eval_per_class_per_bin; ++i) {
-        eval_data.add(sim.skewed_patch(label, x, config.harvest.patch), label);
-      }
-    }
+    const float x = viewpoint_bin_center(config.scene, bin, config.eval_bins);
+    const PatchDataset eval_data = viewpoint_bin_set(
+        sim, x, config.eval_per_class_per_bin, config.harvest.patch);
     BinAccuracy accuracy;
     accuracy.x_center = x;
     accuracy.skew = sim.skew_at(x);
@@ -70,6 +58,32 @@ ViewpointExperimentResult run_viewpoint_experiment(
   result.teacher_overall = teacher_sum / config.eval_bins;
   result.student_overall = student_sum / config.eval_bins;
   return result;
+}
+
+PatchDataset canonical_set(SceneSimulator& sim, int per_class, int patch) {
+  PatchDataset data(patch);
+  for (std::int32_t label = 0; label < sim.config().num_classes; ++label) {
+    for (int i = 0; i < per_class; ++i) {
+      data.add(sim.canonical_patch(label, patch), label);
+    }
+  }
+  return data;
+}
+
+float viewpoint_bin_center(const SceneConfig& scene, int bin, int bins) {
+  const float width = static_cast<float>(scene.frame_width);
+  return width * (static_cast<float>(bin) + 0.5F) / static_cast<float>(bins);
+}
+
+PatchDataset viewpoint_bin_set(SceneSimulator& sim, float x, int per_class,
+                               int patch) {
+  PatchDataset data(patch);
+  for (std::int32_t label = 0; label < sim.config().num_classes; ++label) {
+    for (int i = 0; i < per_class; ++i) {
+      data.add(sim.skewed_patch(label, x, patch), label);
+    }
+  }
+  return data;
 }
 
 double StudentConvergenceModel::accuracy(double steps) const {

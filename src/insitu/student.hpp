@@ -61,6 +61,22 @@ struct ViewpointExperimentResult {
 [[nodiscard]] ViewpointExperimentResult run_viewpoint_experiment(
     const ViewpointExperimentConfig& config);
 
+/// The cloud teacher's training set: @p per_class canonical-viewpoint
+/// patches of every class, drawn from @p sim class by class.
+[[nodiscard]] PatchDataset canonical_set(SceneSimulator& sim, int per_class,
+                                         int patch);
+
+/// Horizontal centre of viewpoint bin @p bin when the frame width is cut
+/// into @p bins equal bins.
+[[nodiscard]] float viewpoint_bin_center(const SceneConfig& scene, int bin,
+                                         int bins);
+
+/// Evaluation set of one viewpoint bin: @p per_class patches of every
+/// class seen at horizontal position @p x, drawn from @p sim class by
+/// class.
+[[nodiscard]] PatchDataset viewpoint_bin_set(SceneSimulator& sim, float x,
+                                             int per_class, int patch);
+
 /// Compact saturating-accuracy proxy for a node's student, for fleet-scale
 /// simulation (NeuroFlux, PAPERS.md: per-node student convergence is the
 /// fleet-level metric).

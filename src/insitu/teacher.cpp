@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
 
-#include "core/executor.hpp"
 #include "core/revolve.hpp"
 #include "models/small_nets.hpp"
-#include "nn/chain_runner.hpp"
 #include "nn/optim.hpp"
 #include "tensor/ops.hpp"
 
@@ -106,6 +105,16 @@ std::vector<std::pair<std::int32_t, float>> predictions_from_logits(
   return out;
 }
 
+nn::Trainer make_trainer(nn::LayerChain& chain, const TrainOptions& options) {
+  const int l = chain.size();
+  return nn::Trainer(
+      chain,
+      options.checkpoint_free_slots >= 0
+          ? core::revolve::make_schedule(l, options.checkpoint_free_slots)
+          : core::full_storage_schedule(l),
+      std::make_unique<nn::SGD>(chain.params(), options.lr, options.momentum));
+}
+
 PatchClassifier::PatchClassifier(int patch, int num_classes,
                                  std::int64_t base_channels,
                                  std::uint32_t seed)
@@ -119,15 +128,7 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
   if (data.empty()) throw std::invalid_argument("train: empty dataset");
   TrainStats stats;
 
-  nn::SGD optimizer(chain_.params(), options.lr, options.momentum);
-  nn::LayerChainRunner runner(chain_, nn::Phase::Train);
-  core::ScheduleExecutor executor;
-
-  const int l = chain_.size();
-  core::Schedule schedule =
-      options.checkpoint_free_slots >= 0
-          ? core::revolve::make_schedule(l, options.checkpoint_free_slots)
-          : core::full_storage_schedule(l);
+  nn::Trainer trainer = make_trainer(chain_, options);
 
   // Covers every executor pass (including checkpointed recompute) so all
   // forwards of a step agree on precision; optimizer state stays fp32.
@@ -154,8 +155,6 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
       Tensor teacher_logits;
       if (distill_from != nullptr) teacher_logits = distill_from->logits(x);
 
-      optimizer.zero_grad();
-      runner.begin_pass();
       float loss_value = 0.0F;
       const core::LossGradFn loss_grad = [&](const Tensor& student_logits) {
         if (distill_from != nullptr) {
@@ -170,18 +169,12 @@ TrainStats PatchClassifier::train(const PatchDataset& data,
         loss_value = result.loss;
         return ops::softmax_xent_backward(result.probs, labels);
       };
-      const core::ExecutionResult result =
-          executor.run(runner, schedule, x, loss_grad);
-      optimizer.step();
+      const nn::StepStats step = trainer.step_with_loss(x, loss_grad);
 
       epoch_loss += loss_value;
       ++batches;
-      stats.peak_step_bytes = std::max(
-          stats.peak_step_bytes,
-          result.peak_tracked_bytes - std::min(result.peak_tracked_bytes,
-                                               result.baseline_bytes));
-      stats.total_advances += result.stats.advances;
-      stats.total_forward_saves += result.stats.forward_saves;
+      stats.peak_step_bytes = std::max(stats.peak_step_bytes, step.peak_bytes);
+      stats.total_advances += step.advances;
     }
     stats.epoch_losses.push_back(
         batches > 0 ? static_cast<float>(epoch_loss / static_cast<double>(batches))
@@ -201,25 +194,7 @@ std::pair<std::int32_t, float> PatchClassifier::predict(
     const std::vector<float>& pixels) {
   Tensor x = Tensor::empty(Shape{1, 1, patch_, patch_});
   std::copy(pixels.begin(), pixels.end(), x.data());
-  nn::RunContext ctx;
-  ctx.phase = nn::Phase::Eval;
-  ctx.save_for_backward = false;
-  Tensor logits = chain_.forward(x, ctx);
-
-  const std::int64_t k = logits.shape()[1];
-  float mx = logits.data()[0];
-  std::int32_t best = 0;
-  for (std::int64_t j = 1; j < k; ++j) {
-    if (logits.data()[j] > mx) {
-      mx = logits.data()[j];
-      best = static_cast<std::int32_t>(j);
-    }
-  }
-  double denom = 0.0;
-  for (std::int64_t j = 0; j < k; ++j) {
-    denom += std::exp(static_cast<double>(logits.data()[j]) - mx);
-  }
-  return {best, static_cast<float>(1.0 / denom)};
+  return predictions_from_logits(logits(x)).front();
 }
 
 std::vector<std::pair<std::int32_t, float>> PatchClassifier::predict_batch(

@@ -1,8 +1,8 @@
 // edgetrain: patch classifier used for both the teacher and the student.
 //
-// A small CNN over grayscale patches. Training runs through the schedule
-// executor, so the student can be trained under a Waggle-style memory cap
-// with a Revolve schedule while the (cloud-side) teacher trains with full
+// A small CNN over grayscale patches. Training runs through nn::Trainer,
+// so the student can be trained under a Waggle-style memory cap with a
+// Revolve schedule while the (cloud-side) teacher trains with full
 // storage -- the paper's Section III + Section VI combination in one class.
 #pragma once
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/chain.hpp"
+#include "nn/trainer.hpp"
 #include "tensor/tensor.hpp"
 
 namespace edgetrain::insitu {
@@ -72,16 +73,21 @@ struct TrainStats {
   std::vector<float> epoch_losses;
   std::size_t peak_step_bytes = 0;     ///< max executor footprint over steps
   std::int64_t total_advances = 0;     ///< recomputation forwards executed
-  std::int64_t total_forward_saves = 0;
   [[nodiscard]] float final_loss() const {
     return epoch_losses.empty() ? 0.0F : epoch_losses.back();
   }
 };
 
+/// The trainer @p options describe for @p chain: SGD (lr, momentum) over a
+/// Revolve schedule with checkpoint_free_slots free slots, or over full
+/// storage when that is -1; checkpoints stay in RAM.
+[[nodiscard]] nn::Trainer make_trainer(nn::LayerChain& chain,
+                                       const TrainOptions& options);
+
 /// Row-wise argmax label + softmax confidence of that label, one pair per
-/// row of logits[N,K]; the numeric recipe (max-subtracted double-precision
-/// denominator) matches PatchClassifier::predict exactly, so fp32 batched,
-/// fp32 per-patch and quantized teachers all score confidence identically.
+/// row of logits[N,K] (max-subtracted double-precision denominator). The
+/// one recipe behind PatchClassifier::predict and predict_batch and the
+/// quantized teacher, so all of them score confidence identically.
 [[nodiscard]] std::vector<std::pair<std::int32_t, float>>
 predictions_from_logits(const Tensor& logits);
 

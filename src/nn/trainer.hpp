@@ -1,16 +1,17 @@
-// edgetrain: high-level training loop.
+// edgetrain: the training loop.
 //
-// Bundles the pieces every caller was wiring by hand -- optimizer, chain
-// runner, checkpointing schedule, slot store, loss head -- behind one
-// configuration struct. The strategy enum covers every scheduler in the
-// library, so switching from full storage to Revolve (or spilling
-// checkpoints to disk) is a one-line change.
+// One optimisation step is zero_grad -> begin_pass -> replay the checkpoint
+// schedule -> optimizer step. Trainer is the one place that runs it, and it
+// is built from the things it runs: the schedule (core::revolve, seq,
+// periodic, hetero, disk_revolve, ... -- any planner), the optimizer and
+// the slot store the schedule's checkpoints live in (RAM, codec blobs,
+// spilled to disk). Switching plans means constructing a different
+// schedule or store, not setting a flag.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -20,41 +21,8 @@
 
 namespace edgetrain::nn {
 
-enum class CheckpointStrategy : std::uint8_t {
-  FullStorage,  ///< rho = 1, maximal memory
-  Revolve,      ///< optimal binomial checkpointing
-  Sequential,   ///< PyTorch checkpoint_sequential (free_slots+1 segments)
-  Periodic,     ///< uniform-stride checkpoints
-};
-
-enum class SlotBackend : std::uint8_t {
-  Ram,       ///< full-precision in-memory checkpoints
-  DiskSpill, ///< all non-input slots round-trip through files
-  Fp16,      ///< half-precision checkpoints (2x memory saving, lossy)
-  Int8,      ///< 8-bit affine checkpoints (4x memory saving, lossy)
-};
-
-enum class OptimizerKind : std::uint8_t {
-  Sgd,   ///< SGD with optional momentum (momentum/weight_decay options)
-  Adam,  ///< Adam with bias correction (adam_* options)
-};
-
-struct TrainerOptions {
-  CheckpointStrategy strategy = CheckpointStrategy::FullStorage;
-  int free_slots = 2;          ///< checkpoint budget (ignored for FullStorage)
-  SlotBackend backend = SlotBackend::Ram;
-  std::string spill_directory = "/tmp";  ///< for SlotBackend::DiskSpill
-  OptimizerKind optimizer = OptimizerKind::Sgd;
-  float lr = 0.05F;
-  float momentum = 0.9F;
-  float weight_decay = 0.0F;
-  float adam_beta1 = 0.9F;
-  float adam_beta2 = 0.999F;
-  float adam_eps = 1e-8F;
-};
-
 struct StepStats {
-  float loss = 0.0F;
+  float loss = 0.0F;                ///< step(): the cross-entropy; else 0
   std::size_t peak_bytes = 0;       ///< tracked peak over the step
   std::int64_t advances = 0;        ///< recomputation forwards
 };
@@ -63,7 +31,12 @@ struct StepStats {
 /// Not copyable; the chain must outlive the trainer.
 class Trainer {
  public:
-  Trainer(LayerChain& chain, const TrainerOptions& options);
+  /// @p schedule must be built for chain.size() steps and @p optimizer over
+  /// chain.params(). A null @p store keeps checkpoints in a
+  /// RamSlotStore(schedule.num_slots()).
+  Trainer(LayerChain& chain, core::Schedule schedule,
+          std::unique_ptr<Optimizer> optimizer,
+          std::unique_ptr<core::SlotStore> store = nullptr);
 
   /// One optimisation step on a batch with integer labels (softmax
   /// cross-entropy head).
@@ -94,7 +67,6 @@ class Trainer {
 
  private:
   LayerChain& chain_;
-  TrainerOptions options_;
   core::Schedule schedule_;
   std::unique_ptr<core::SlotStore> store_;
   std::unique_ptr<Optimizer> optimizer_;

@@ -64,13 +64,17 @@ void decode_optimizer_state(nn::Optimizer& optimizer,
 }
 
 ResumableTrainer::ResumableTrainer(nn::LayerChain& chain,
+                                   core::Schedule schedule,
+                                   std::unique_ptr<nn::Optimizer> optimizer,
                                    const ResumableOptions& options,
-                                   FaultInjector* fault)
+                                   FaultInjector* fault,
+                                   std::unique_ptr<core::SlotStore> store)
     : chain_(chain),
       options_(options),
       fault_(fault),
       manager_(options.snapshot_dir, options.keep_snapshots),
-      trainer_(chain, options.trainer),
+      trainer_(chain, std::move(schedule), std::move(optimizer),
+               std::move(store)),
       data_rng_(options.data_seed) {
   if (fault_ != nullptr) {
     core::ExecutorHooks hooks;

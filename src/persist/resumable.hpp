@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -42,7 +43,6 @@ using BatchFn =
     std::function<LabeledBatch(std::mt19937& rng, std::uint64_t cursor)>;
 
 struct ResumableOptions {
-  nn::TrainerOptions trainer;
   std::string snapshot_dir = "/tmp/edgetrain_snap";
   std::uint64_t snapshot_every = 25;  ///< steps; 0 = only on suspend()
   int keep_snapshots = 2;             ///< committed generations to retain
@@ -52,11 +52,16 @@ struct ResumableOptions {
 /// Crash-consistent trainer. Not copyable; the chain must outlive it.
 class ResumableTrainer {
  public:
-  /// @p fault, when set, is consulted at every failure point (step entry,
-  /// mid-step schedule actions, snapshot write bytes) -- production passes
-  /// nullptr, tests inject deaths.
-  ResumableTrainer(nn::LayerChain& chain, const ResumableOptions& options,
-                   FaultInjector* fault = nullptr);
+  /// @p schedule, @p optimizer and @p store are forwarded to nn::Trainer
+  /// (a null store keeps checkpoints in RAM). @p fault, when set, is
+  /// consulted at every failure point (step entry, mid-step schedule
+  /// actions, snapshot write bytes) -- production passes nullptr, tests
+  /// inject deaths.
+  ResumableTrainer(nn::LayerChain& chain, core::Schedule schedule,
+                   std::unique_ptr<nn::Optimizer> optimizer,
+                   const ResumableOptions& options,
+                   FaultInjector* fault = nullptr,
+                   std::unique_ptr<core::SlotStore> store = nullptr);
 
   /// Restores the newest valid snapshot, falling back past corrupt or torn
   /// generations. Returns true when state was restored (resumed run),

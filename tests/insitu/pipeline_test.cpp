@@ -2,10 +2,13 @@
 // harvesting, and the end-to-end viewpoint experiment (scaled down).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "insitu/harvester.hpp"
 #include "insitu/scene.hpp"
 #include "insitu/student.hpp"
 #include "insitu/teacher.hpp"
+#include "nn/serialize.hpp"
 
 namespace edgetrain::insitu {
 namespace {
@@ -67,6 +70,33 @@ TEST(PatchClassifier, CheckpointedTrainingUsesLessMemory) {
   const TrainStats ckpt_stats = ckpt.train(data, ckpt_options);
   EXPECT_LT(ckpt_stats.peak_step_bytes, full_stats.peak_step_bytes);
   EXPECT_GT(ckpt_stats.total_advances, full_stats.total_advances);
+}
+
+TEST(PatchClassifier, RevolveTrainingBitIdenticalToFullStorage) {
+  SceneSimulator sim(small_scene());
+  const PatchDataset data = canonical_set(sim, /*per_class=*/20, 16);
+  struct Run {
+    std::vector<std::uint8_t> weights;
+    std::vector<std::uint8_t> buffers;
+    std::vector<float> epoch_losses;
+  };
+  auto train = [&](int free_slots) {
+    PatchClassifier classifier(16, 3, 6, 5);
+    TrainOptions options;
+    options.epochs = 2;
+    options.checkpoint_free_slots = free_slots;
+    const TrainStats stats = classifier.train(data, options);
+    return Run{nn::serialize_weights(classifier.chain()),
+               nn::serialize_buffers(classifier.chain()), stats.epoch_losses};
+  };
+  const Run revolve = train(2);
+  const Run full = train(-1);
+  EXPECT_EQ(revolve.weights, full.weights);
+  EXPECT_EQ(revolve.buffers, full.buffers);
+  ASSERT_EQ(revolve.epoch_losses.size(), full.epoch_losses.size());
+  EXPECT_EQ(std::memcmp(revolve.epoch_losses.data(), full.epoch_losses.data(),
+                        full.epoch_losses.size() * sizeof(float)),
+            0);
 }
 
 TEST(PatchClassifier, PredictReturnsConfidenceInRange) {

@@ -10,7 +10,9 @@
 #include <memory>
 #include <random>
 
+#include "core/revolve.hpp"
 #include "nn/layers.hpp"
+#include "nn/optim.hpp"
 #include "nn/serialize.hpp"
 
 namespace edgetrain::persist {
@@ -56,14 +58,27 @@ LabeledBatch quadrant_batch(std::mt19937& rng, std::uint64_t /*cursor*/) {
 
 ResumableOptions make_options(const std::string& dir) {
   ResumableOptions options;
-  options.trainer.strategy = nn::CheckpointStrategy::Revolve;
-  options.trainer.free_slots = 2;
-  options.trainer.lr = 0.05F;
   options.snapshot_dir = dir;
   options.snapshot_every = 3;
   options.keep_snapshots = 2;
   options.data_seed = kDataSeed;
   return options;
+}
+
+/// The trainer every boot builds: Revolve with 2 free slots, SGD (lr 0.05,
+/// momentum 0.9), or Adam (lr 0.002) when @p adam.
+ResumableTrainer make_trainer(nn::LayerChain& chain,
+                              const ResumableOptions& options,
+                              FaultInjector* fault = nullptr,
+                              bool adam = false) {
+  std::unique_ptr<nn::Optimizer> optimizer;
+  if (adam) {
+    optimizer = std::make_unique<nn::Adam>(chain.params(), 0.002F);
+  } else {
+    optimizer = std::make_unique<nn::SGD>(chain.params(), 0.05F, 0.9F);
+  }
+  return ResumableTrainer(chain, core::revolve::make_schedule(chain.size(), 2),
+                          std::move(optimizer), options, fault);
 }
 
 /// Full durable model state: weights + buffers, cloned off the live chain.
@@ -78,9 +93,10 @@ ModelDump dump(nn::LayerChain& chain) {
 
 /// Runs to @p total_steps uninterrupted in a fresh directory.
 ModelDump uninterrupted_run(std::uint64_t total_steps,
-                            const ResumableOptions& options) {
+                            const ResumableOptions& options,
+                            bool adam = false) {
   nn::LayerChain chain = build_net();
-  ResumableTrainer trainer(chain, options, nullptr);
+  ResumableTrainer trainer = make_trainer(chain, options, nullptr, adam);
   EXPECT_FALSE(trainer.resume());
   while (trainer.step_count() < total_steps) {
     (void)trainer.step(quadrant_batch);
@@ -94,10 +110,11 @@ ModelDump uninterrupted_run(std::uint64_t total_steps,
 std::optional<ModelDump> boot(const ResumableOptions& options,
                               std::uint64_t total_steps,
                               const std::function<void(FaultInjector&)>&
-                                  inject = nullptr) {
+                                  inject = nullptr,
+                              bool adam = false) {
   nn::LayerChain chain = build_net();
   FaultInjector fault;
-  ResumableTrainer trainer(chain, options, &fault);
+  ResumableTrainer trainer = make_trainer(chain, options, &fault, adam);
   (void)trainer.resume();
   if (inject) inject(fault);
   try {
@@ -165,7 +182,7 @@ TEST_F(ResumeTest, KilledMidSnapshotWriteMatchesUninterruptedBitForBit) {
   const ModelDump golden = uninterrupted_run(total, options);
   const std::uint64_t snap_bytes = [&] {
     nn::LayerChain chain = build_net();
-    ResumableTrainer trainer(chain, options);
+    ResumableTrainer trainer = make_trainer(chain, options);
     return encode_snapshot(trainer.capture()).size();
   }();
 
@@ -267,7 +284,7 @@ TEST_F(ResumeTest, BitRotOnLatestSnapshotFallsBackAndStaysDeterministic) {
   // reach the exact uninterrupted trajectory.
   {
     nn::LayerChain chain = build_net();
-    ResumableTrainer trainer(chain, opts);
+    ResumableTrainer trainer = make_trainer(chain, opts);
     ASSERT_TRUE(trainer.resume());
     EXPECT_EQ(trainer.step_count(), 3U);
     EXPECT_EQ(trainer.snapshots().last_skipped().size(), 1U);
@@ -289,7 +306,7 @@ TEST_F(ResumeTest, TruncatedLatestSnapshotFallsBack) {
   truncate_file(paths[0], file_size(paths[0]) - 5);
 
   nn::LayerChain chain = build_net();
-  ResumableTrainer trainer(chain, opts);
+  ResumableTrainer trainer = make_trainer(chain, opts);
   ASSERT_TRUE(trainer.resume());
   EXPECT_EQ(trainer.step_count(), 3U);
 }
@@ -300,20 +317,21 @@ TEST_F(ResumeTest, TruncatedLatestSnapshotFallsBack) {
 
 TEST_F(ResumeTest, AdamMomentsAndStepCounterSurviveResume) {
   const std::uint64_t total = 9;
-  ResumableOptions options = make_options(subdir("golden"));
-  options.trainer.optimizer = nn::OptimizerKind::Adam;
-  options.trainer.lr = 0.002F;
-  const ModelDump golden = uninterrupted_run(total, options);
+  const ResumableOptions options = make_options(subdir("golden"));
+  const ModelDump golden = uninterrupted_run(total, options, /*adam=*/true);
 
   const std::string dir = subdir("adam");
   ResumableOptions opts = options;
   opts.snapshot_dir = dir;
   // Adam's trajectory depends on its moment tensors and bias-correction
   // counter; a resume that dropped either would diverge immediately.
-  EXPECT_FALSE(boot(opts, total, [](FaultInjector& f) {
-                 f.arm_abort_at_step(5);
-               }).has_value());
-  const std::optional<ModelDump> final = boot(opts, total);
+  EXPECT_FALSE(boot(
+                   opts, total,
+                   [](FaultInjector& f) { f.arm_abort_at_step(5); },
+                   /*adam=*/true)
+                   .has_value());
+  const std::optional<ModelDump> final =
+      boot(opts, total, nullptr, /*adam=*/true);
   ASSERT_TRUE(final.has_value());
   expect_identical(*final, golden, "Adam resume");
 }
@@ -324,14 +342,14 @@ TEST_F(ResumeTest, BatchNormRunningStatsSurviveResume) {
 
   nn::LayerChain chain = build_net();
   {
-    ResumableTrainer trainer(chain, opts);
+    ResumableTrainer trainer = make_trainer(chain, opts);
     for (int i = 0; i < 4; ++i) (void)trainer.step(quadrant_batch);
     trainer.suspend();
   }
   const ModelDump saved = dump(chain);
 
   nn::LayerChain rebooted = build_net();
-  ResumableTrainer trainer(rebooted, opts);
+  ResumableTrainer trainer = make_trainer(rebooted, opts);
   ASSERT_TRUE(trainer.resume());
   expect_identical(dump(rebooted), saved, "running stats");
   // And they are genuinely non-trivial state: training moved them.
@@ -345,14 +363,14 @@ TEST_F(ResumeTest, SuspendPersistsCurrentStateImmediately) {
   opts.snapshot_every = 0;  // only explicit suspends snapshot
 
   nn::LayerChain chain = build_net();
-  ResumableTrainer trainer(chain, opts);
+  ResumableTrainer trainer = make_trainer(chain, opts);
   for (int i = 0; i < 5; ++i) (void)trainer.step(quadrant_batch);
   EXPECT_EQ(trainer.snapshots_written(), 0U);
   trainer.suspend();
   EXPECT_EQ(trainer.snapshots_written(), 1U);
 
   nn::LayerChain rebooted = build_net();
-  ResumableTrainer resumed(rebooted, opts);
+  ResumableTrainer resumed = make_trainer(rebooted, opts);
   ASSERT_TRUE(resumed.resume());
   EXPECT_EQ(resumed.step_count(), 5U);
   EXPECT_EQ(resumed.data_cursor(), 5U);
@@ -361,7 +379,7 @@ TEST_F(ResumeTest, SuspendPersistsCurrentStateImmediately) {
 
 TEST_F(ResumeTest, FreshStartWhenNoSnapshotExists) {
   nn::LayerChain chain = build_net();
-  ResumableTrainer trainer(chain, make_options(subdir("fresh")));
+  ResumableTrainer trainer = make_trainer(chain, make_options(subdir("fresh")));
   EXPECT_FALSE(trainer.resume());
   EXPECT_EQ(trainer.step_count(), 0U);
 }
@@ -371,7 +389,7 @@ TEST_F(ResumeTest, MidStepAbortRecordsSchedulePosition) {
   ResumableOptions opts = make_options(dir);
   nn::LayerChain chain = build_net();
   FaultInjector fault;
-  ResumableTrainer trainer(chain, opts, &fault);
+  ResumableTrainer trainer = make_trainer(chain, opts, &fault);
   (void)trainer.step(quadrant_batch);
   fault.arm_abort_at_action(4);
   EXPECT_THROW((void)trainer.step(quadrant_batch), PowerLoss);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -124,9 +125,8 @@ TEST(Workspace, RepeatedConvForwardAllocatesOnlyOnce) {
 TEST(WorkspaceTraining, SecondTrainingStepMakesZeroScratchAllocations) {
   std::mt19937 rng(42);
   nn::LayerChain chain = models::build_patch_cnn(12, 1, 4, 4, rng);
-  nn::TrainerOptions options;
-  options.lr = 0.05F;
-  nn::Trainer trainer(chain, options);
+  nn::Trainer trainer(chain, core::full_storage_schedule(chain.size()),
+                      std::make_unique<nn::SGD>(chain.params(), 0.05F, 0.9F));
 
   std::mt19937 data_rng(43);
   Tensor x = Tensor::randn(Shape{8, 1, 12, 12}, data_rng);
